@@ -18,7 +18,7 @@ from . import autodiff as ad
 from . import io as pio
 from .camera import Camera, camera_from_fov
 from .config import ABLATIONS, RunConfig
-from .losses import psnr, ssim
+from .losses import psnr
 from .render import RenderSettings, render
 from .synth import SceneSpec, generate, load_scene, write_scene
 from .train import Trainer, TrainingAborted, load_model
@@ -192,18 +192,8 @@ def _draw_quiver(image: np.ndarray, means2d: np.ndarray, vel2d: np.ndarray, dt: 
 def cmd_eval(args) -> int:
     data = load_scene(args.scene)
     trainer = Trainer.from_checkpoint(args.checkpoint, data)
-    psnrs, ssims = [], []
-    for f in range(data.frames):
-        out = trainer.render_frame(f)
-        psnrs.append(psnr(out.image_np(), data.images[f]))
-        with ad.Tape():
-            ssims.append(float(ssim(ad.constant(out.image_np()), data.images[f]).data))
-    metrics = {
-        "psnr": float(np.mean(psnrs)),
-        "ssim": float(np.mean(ssims)),
-        "masked_epe": trainer.mean_masked_epe(),
-        "mean_residual": trainer.mean_residual(samples=10**6),
-    }
+    metrics = trainer.evaluate()
+    metrics["mean_residual"] = trainer.mean_residual(samples=10**6)
     text = json.dumps(metrics, indent=1, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -50,12 +50,22 @@ class RenderSettings:
 
 
 class RenderOutput:
+    """One render: the image tape node plus what the flow predictions read.
+
+    ``topk_rows``/``topk_weights`` are each pixel's K strongest contributors
+    (cloud rows, -1 where empty) and their weights normalised over all of the
+    pixel's contributors. They are given either as arrays or, by the
+    rasterizer, as ``topk_build``: a callable that builds both on the first
+    read of either, after which they are cached. Forward-only renders never
+    pay for them.
+    """
+
     def __init__(self, raw, t_final, topk_rows, topk_weights, visible_rows, means2d, cov2d, depths, camera, t,
-                 positions_world=None):
+                 positions_world=None, topk_build=None):
         self.raw = raw  # Tensor (H, W, 4): rgb + expected depth
         self.t_final = t_final  # np (H, W)
-        self.topk_rows = topk_rows  # np (H, W, K) cloud row indices, -1 empty
-        self.topk_weights = topk_weights  # np (H, W, K) weights over all contributors
+        self._topk = (topk_rows, topk_weights) if topk_build is None else None
+        self._topk_build = topk_build
         self.visible_rows = visible_rows  # np rows of the cloud that reached the rasterizer
         self.means2d = means2d  # Tensor (M, 2) for the visible rows
         self.cov2d = cov2d  # Tensor (M, 3) as (a, b, c), dilation included
@@ -64,6 +74,20 @@ class RenderOutput:
         self.t = t
         # detached world positions of the visible rows (after deformation)
         self.positions_world = positions_world if positions_world is not None else np.zeros((len(visible_rows), 3))
+
+    def _topk_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._topk is None:
+            self._topk = self._topk_build()
+            self._topk_build = None  # drop the per-tile weights it read
+        return self._topk
+
+    @property
+    def topk_rows(self) -> np.ndarray:
+        return self._topk_arrays()[0]  # (H, W, K) cloud row indices, -1 empty
+
+    @property
+    def topk_weights(self) -> np.ndarray:
+        return self._topk_arrays()[1]  # (H, W, K) weights over all contributors
 
     @property
     def image(self) -> Tensor:
@@ -131,11 +155,38 @@ def _tile_ranges(h: int, w: int, tile: int):
             yield y0, min(y0 + tile, h), x0, min(x0 + tile, w)
 
 
+def _topk_lists(tiles, tile_weights, rows_sorted, height, width, k_top):
+    """Per-pixel top-k contributor rows and weights, normalised over all of
+    the pixel's contributors; ties keep depth order. ``tile_weights[i]`` is
+    tile i's ``(sel, w)`` from the rasterizer, or None for an empty tile."""
+    topk_rows = np.full((height, width, k_top), -1, dtype=np.int64)
+    topk_w = np.zeros((height, width, k_top))
+    for (y0, y1, x0, x1), state in zip(tiles, tile_weights):
+        if state is None:
+            continue
+        sel, w = state
+        ph, pw = y1 - y0, x1 - x0
+        total = w.sum(axis=1)
+        covered = total > 0.0
+        if np.any(covered):
+            nw = np.zeros_like(w)
+            nw[covered] = w[covered] / total[covered, None]
+            kk = min(k_top, len(sel))
+            sel_sorted = np.argsort(-nw, axis=1, kind="stable")[:, :kk]
+            picked = np.take_along_axis(nw, sel_sorted, axis=1)
+            rows = rows_sorted[sel][sel_sorted]
+            rows[picked <= 0.0] = -1
+            topk_rows[y0:y1, x0:x1, :kk] = rows.reshape(ph, pw, kk)
+            topk_w[y0:y1, x0:x1, :kk] = np.where(picked > 0.0, picked, 0.0).reshape(ph, pw, kk)
+    return topk_rows, topk_w
+
+
 def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, width, settings: RenderSettings):
     """Fused tiled compositing. Returns (raw Tensor (H,W,4), aux dict).
 
     ``ids`` are the persistent particle ids used for depth tie-breaks;
     ``row_map`` maps rasterizer input rows to cloud rows for the top-k lists.
+    ``aux["topk"]`` builds the top-k lists (see ``_topk_lists``) when called.
     """
     k_top = settings.top_k
     bg = np.asarray(settings.bg_color, dtype=np.float64)
@@ -144,14 +195,12 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
 
     raw = np.empty((height, width, 4))
     t_final = np.ones((height, width))
-    topk_rows = np.full((height, width, k_top), -1, dtype=np.int64)
-    topk_w = np.zeros((height, width, k_top))
 
     if m_total == 0:
         raw[:, :, 0:3] = bg
         raw[:, :, 3] = bg_depth
         out = record(raw, (), None, "rasterize")
-        return out, {"t_final": t_final, "topk_rows": topk_rows, "topk_weights": topk_w}
+        return out, {"t_final": t_final, "topk": lambda: _topk_lists((), (), None, height, width, k_top)}
 
     order = np.lexsort((ids, depth.data))
     mx = means2d.data[order, 0]
@@ -176,6 +225,7 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
 
     tiles = list(_tile_ranges(height, width, settings.tile_size))
     saved = [None] * len(tiles)
+    tile_weights = [None] * len(tiles)
 
     def run_tile(idx):
         y0, y1, x0, x1 = tiles[idx]
@@ -206,20 +256,8 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
         raw[y0:y1, x0:x1, 0:3] = img.reshape(ph, pw, 3)
         raw[y0:y1, x0:x1, 3] = dep.reshape(ph, pw)
         t_final[y0:y1, x0:x1] = tf.reshape(ph, pw)
-
-        total = w.sum(axis=1)
-        covered = total > 0.0
-        if np.any(covered):
-            nw = np.zeros_like(w)
-            nw[covered] = w[covered] / total[covered, None]
-            kk = min(k_top, len(sel))
-            sel_sorted = np.argsort(-nw, axis=1, kind="stable")[:, :kk]
-            picked = np.take_along_axis(nw, sel_sorted, axis=1)
-            rows = rows_sorted[sel][sel_sorted]
-            rows[picked <= 0.0] = -1
-            topk_rows[y0:y1, x0:x1, :kk] = rows.reshape(ph, pw, kk)
-            topk_w[y0:y1, x0:x1, :kk] = np.where(picked > 0.0, picked, 0.0).reshape(ph, pw, kk)
         saved[idx] = (sel, alpha, trans, gauss, live, dx, dy, tf, w)
+        tile_weights[idx] = (sel, w)
 
     workers = settings.worker_count()
     if workers > 1:
@@ -271,7 +309,8 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
         accumulate_grad(depth, d_z[inv])
 
     out = record(raw, (means2d, conic, colors, opacity, depth), vjp, "rasterize")
-    return out, {"t_final": t_final, "topk_rows": topk_rows, "topk_weights": topk_w}
+    return out, {"t_final": t_final,
+                 "topk": lambda: _topk_lists(tiles, tile_weights, rows_sorted, height, width, k_top)}
 
 
 def composite_alphas(alphas, colors, depths, bg_color=(0.0, 0.0, 0.0), bg_depth=0.0):
@@ -373,8 +412,8 @@ def render(
     means2d, cov2d, conic, z = project_gaussians(pc_k, cov_k, camera)
     raw, aux = rasterize(means2d, conic, colors, opac, z, cloud.ids[keep], keep, h, w, settings)
     return RenderOutput(
-        raw, aux["t_final"], aux["topk_rows"], aux["topk_weights"], keep, means2d, cov2d, z, camera, t,
-        positions_world=mu_k.data.copy(),
+        raw, aux["t_final"], None, None, keep, means2d, cov2d, z, camera, t,
+        positions_world=mu_k.data.copy(), topk_build=aux["topk"],
     )
 
 

@@ -23,7 +23,7 @@ from . import io as pio
 from .config import RunConfig
 from .deform import DeformationField
 from .flow import decompose_backward, gaussian_flow, lpfm_loss, velocity_flow, warp_flow_forward
-from .losses import psnr, renders_loss
+from .losses import psnr, renders_loss, ssim
 from .material import MaterialField
 from .optim import Adam, exp_decay
 from .physics import block_sampled_cmr, momentum_residual
@@ -314,26 +314,36 @@ class Trainer:
                           deform_field=self.deform, normalizer=self.normalizer,
                           settings=self.settings, respect_dynamic_mask=self.stage() == 2)
 
-    def flow_pair(self, f: int):
-        """(flow_g, flow_v) predictions for the pair (f, f+1), detached."""
-        two_stage = self.stage() == 2
-        with ad.Tape():
-            out = render(self.cloud, self.data.cameras[f], self.data.times[f],
-                         deform_field=self.deform, normalizer=self.normalizer,
-                         settings=self.settings, respect_dynamic_mask=two_stage)
-            out1 = render(self.cloud, self.data.cameras[f + 1], self.data.times[f + 1],
-                          deform_field=self.deform, normalizer=self.normalizer,
-                          settings=self.settings, respect_dynamic_mask=two_stage)
-            p4 = self.normalizer.unit4_np(out.positions_world, self.data.times[f])
-            v_norm, _ = self.material.evaluate(p4, self.cloud.ids[out.visible_rows])
-            v_world = ad.mul(v_norm, self.normalizer.scale)
-            flow_g = gaussian_flow(out, out1)
-            flow_v = velocity_flow(out, out1, v_world, dt=self.data.times[f + 1] - self.data.times[f])
-        return flow_g, flow_v
+    def evaluate(self) -> dict:
+        """Mean PSNR, SSIM and masked flow EPE over the training views.
 
-    def masked_flow_epe(self, f: int) -> tuple[float, int]:
-        """Mean endpoint error of flow_g vs the supervision flow at I_f."""
-        flow_g, _ = self.flow_pair(f)
+        One sweep renders each frame once: frame f gives its PSNR and SSIM
+        and, with the held render of frame f-1, the masked EPE of the pair
+        (f-1, f), whose Gaussian flow is compared with the supervision flow
+        inside the motion mask. At most two renders are held at a time.
+        """
+        psnrs, ssims, errs, counts = [], [], [], []
+        prev = None
+        for f in range(self.data.frames):
+            out = self.render_frame(f)
+            image = out.image_np()
+            psnrs.append(psnr(image, self.data.images[f]))
+            with ad.Tape():
+                ssims.append(float(ssim(ad.constant(image), self.data.images[f]).data))
+            if prev is not None:
+                err, n = self._masked_epe(prev, out, f - 1)
+                if n:
+                    errs.append(err * n)
+                    counts.append(n)
+            prev = out
+        return {"psnr": float(np.mean(psnrs)), "ssim": float(np.mean(ssims)),
+                "masked_epe": float(np.sum(errs) / np.sum(counts)) if counts else 0.0}
+
+    def _masked_epe(self, out, out1, f: int) -> tuple[float, int]:
+        """Mean endpoint error of the pair's Gaussian flow vs the supervision
+        flow at I_f, and the number of pixels it averages."""
+        with ad.Tape():
+            flow_g = gaussian_flow(out, out1)
         gt = self._gt_flow(f)
         sel = (flow_g.valid & gt.valid[flow_g.pix_v, flow_g.pix_u]
                & (self.data.masks[f][flow_g.pix_v, flow_g.pix_u] > 0))
@@ -343,24 +353,24 @@ class Trainer:
         return float(err.mean()), int(sel.sum())
 
     def mean_psnr(self) -> float:
-        vals = [psnr(self.render_frame(f).image.data, self.data.images[f])
-                for f in range(self.data.frames)]
-        return float(np.mean(vals))
+        return self.evaluate()["psnr"]
 
     def mean_masked_epe(self) -> float:
-        errs, counts = [], []
-        for f in range(self.data.frames - 1):
-            e, n = self.masked_flow_epe(f)
-            if n:
-                errs.append(e * n)
-                counts.append(n)
-        return float(np.sum(errs) / np.sum(counts)) if counts else 0.0
+        return self.evaluate()["masked_epe"]
 
     def mean_residual(self, samples: int = 512, t: float = 0.5) -> float:
-        """Mean momentum-residual magnitude at particle samples (diagnostic)."""
+        """Mean momentum-residual magnitude at particle samples (diagnostic).
+
+        Uses every particle when ``samples`` covers them all, otherwise a
+        subset drawn from its own generator seeded by ``config.seed``, so a
+        call leaves the training RNG untouched.
+        """
         n = len(self.cloud.ids)
-        take = min(samples, n)
-        sel = np.sort(self.rng.choice(n, take, replace=False))
+        if samples >= n:
+            sel = np.arange(n)
+        else:
+            rng = np.random.default_rng(self.config.seed)
+            sel = np.sort(rng.choice(n, samples, replace=False))
         with ad.Tape():
             p4 = ad.constant(self.normalizer.unit4_np(self.cloud.mu.data[sel], t))
             mu_d, _, _ = self.deform.deform_gaussians(
@@ -397,6 +407,10 @@ class Trainer:
 
     def _load_state(self, config_dict: dict, iteration: int, arrays: dict, scalars: dict) -> None:
         n = arrays["cloud.ids"].shape[0]
+        for name in [f"cloud.{p}" for p in self.cloud.params] + ["cloud.dynamic"]:
+            rows = arrays[name].shape[0]
+            if rows != n:
+                raise ValueError(f"checkpoint has {n} particle ids but {rows} rows in {name}")
         cloud_arrays = {name: arrays[f"cloud.{name}"] for name in self.cloud.params}
         # rebuild the cloud at the checkpoint size, then re-point optimizer slots
         self.cloud = GaussianCloud(cloud_arrays["mu"], cloud_arrays["quat"],
@@ -414,7 +428,6 @@ class Trainer:
         self._grad_count = np.array(arrays["densify.grad_count"])
         self.rng.bit_generator.state = _rng_state_from_json(scalars["rng_state"])
         self.iteration = int(iteration)
-        assert n == len(self.cloud.ids)
 
     @classmethod
     def from_checkpoint(cls, path, data: SceneData) -> "Trainer":

@@ -5,12 +5,17 @@ import json
 import numpy as np
 import pytest
 
+import pidg.autodiff as ad
 from pidg.cli import main
 from pidg.config import RunConfig
 from pidg.deform import DeformConfig
+from pidg.flow import gaussian_flow
 from pidg.io import read_depth, read_flow, read_ppm
+from pidg.losses import psnr, ssim
 from pidg.material import MaterialConfig
-from pidg.synth import SceneSpec
+from pidg.render import render
+from pidg.synth import SceneSpec, load_scene
+from pidg.train import Trainer
 
 
 def small_spec_dict():
@@ -173,6 +178,44 @@ def test_eval_writes_metrics_json(workspace, tmp_path, capsys):
     assert json.loads(printed) == metrics
     assert set(metrics) == {"psnr", "ssim", "masked_epe", "mean_residual"}
     assert all(np.isfinite(v) for v in metrics.values())
+
+
+def test_eval_matches_fresh_renders_per_frame_and_pair(workspace, tmp_path):
+    """eval renders each frame once; its figures equal ones computed from a
+    fresh render of every frame and two fresh renders of every pair."""
+    out = tmp_path / "metrics.json"
+    assert main(["eval", str(workspace["ckpt"]), "--scene", str(workspace["scene"]),
+                 "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())
+
+    data = load_scene(workspace["scene"])
+    tr = Trainer.from_checkpoint(workspace["ckpt"], data)
+    psnrs, ssims = [], []
+    for f in range(data.frames):
+        image = tr.render_frame(f).image_np()
+        psnrs.append(psnr(image, data.images[f]))
+        with ad.Tape():
+            ssims.append(float(ssim(ad.constant(image), data.images[f]).data))
+    errs, counts = [], []
+    for f in range(data.frames - 1):
+        with ad.Tape():
+            out_t, out_t1 = (render(tr.cloud, data.cameras[g], data.times[g], deform_field=tr.deform,
+                                    normalizer=tr.normalizer, settings=tr.settings,
+                                    respect_dynamic_mask=tr.stage() == 2) for g in (f, f + 1))
+            flow = gaussian_flow(out_t, out_t1)
+        gt = tr._gt_flow(f)
+        pv, pu = flow.pix_v, flow.pix_u
+        sel = flow.valid & gt.valid[pv, pu] & (data.masks[f][pv, pu] > 0)
+        err = np.linalg.norm(flow.vec.data[sel] - gt.vectors[pv[sel], pu[sel]], axis=1)
+        errs.append(float(err.mean()) * len(err))
+        counts.append(len(err))
+    assert all(counts)
+    assert metrics["psnr"] == float(np.mean(psnrs))
+    assert metrics["ssim"] == float(np.mean(ssims))
+    assert metrics["masked_epe"] == float(np.sum(errs) / np.sum(counts))
+    assert metrics["mean_residual"] == tr.mean_residual(samples=10**6)
+    assert tr.mean_masked_epe() == metrics["masked_epe"]
+    assert tr.mean_psnr() == metrics["psnr"]
 
 
 def test_train_resume_flag(workspace, tmp_path):

@@ -1,5 +1,7 @@
 """Rasterizer: brute-force agreement, thread determinism, gradients, compositing."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -44,14 +46,17 @@ def test_threads_bit_identical():
     rng = np.random.default_rng(10)
     cloud = random_cloud(rng, 40)
     cam = make_camera(48, 48)
-    with ad.Tape():
-        a = render(cloud, cam, 0.0, settings=RenderSettings(threads=1))
-    with ad.Tape():
-        b = render(cloud, cam, 0.0, settings=RenderSettings(threads=4))
-    assert a.raw.data.tobytes() == b.raw.data.tobytes()
-    assert np.array_equal(a.topk_rows, b.topk_rows)
-    assert np.array_equal(a.topk_weights, b.topk_weights)
-    assert np.array_equal(a.t_final, b.t_final)
+    outs = []
+    for threads in (1, 2, 4):
+        with ad.Tape():
+            outs.append(render(cloud, cam, 0.0, settings=RenderSettings(threads=threads)))
+    # the top-k lists are built after the tapes have closed, on first read
+    a = outs[0]
+    for b in outs[1:]:
+        assert a.raw.data.tobytes() == b.raw.data.tobytes()
+        assert a.topk_rows.tobytes() == b.topk_rows.tobytes()
+        assert a.topk_weights.tobytes() == b.topk_weights.tobytes()
+        assert a.t_final.tobytes() == b.t_final.tobytes()
 
 
 def test_tile_size_does_not_change_image():
@@ -122,6 +127,72 @@ def test_topk_weights_sum_to_one_with_many_contributors():
     assert np.all(sums <= 1.0 + 1e-12)
     # with at most 6 contributors and k=8 the normalized weights sum to 1
     assert np.allclose(sums, 1.0, atol=1e-12)
+
+
+def brute_force_topk(out, cloud, settings):
+    """Per-pixel top-k from every visible contributor in depth order: the
+    compositing weights a_i T_i, normalised by their sum, stable-sorted by
+    weight, with rows -1 where the weight is 0."""
+    rows = out.visible_rows
+    m2d = out.means2d.data
+    a, b, c = out.cov2d.data.T
+    det = a * c - b * b
+    ia, ib, ic = c / det, -b / det, a / det
+    opac = 1.0 / (1.0 + np.exp(-cloud.opacity_logit.data[rows]))
+    order = np.lexsort((cloud.ids[rows], out.depths.data))
+    shape = out.t_final.shape + (settings.top_k,)
+    h, w, k = shape
+    want_rows = np.full(shape, -1, dtype=np.int64)
+    want_w = np.zeros(shape)
+    for py in range(h):
+        for px in range(w):
+            trans, weights = 1.0, []
+            for i in order:
+                dx, dy = px - m2d[i, 0], py - m2d[i, 1]
+                q = ia[i] * dx * dx + 2.0 * ib[i] * dx * dy + ic[i] * dy * dy
+                alpha = min(opac[i] * np.exp(-0.5 * q), settings.alpha_max)
+                if q > settings.support_chi2 or alpha < settings.alpha_min:
+                    alpha = 0.0
+                weights.append(alpha * trans)
+                trans *= 1.0 - alpha
+            weights = np.array(weights)
+            if weights.sum() <= 0.0:
+                continue
+            nw = weights / weights.sum()
+            pick = np.argsort(-nw, kind="stable")[:k]
+            n = len(pick)
+            want_rows[py, px, :n] = np.where(nw[pick] > 0.0, rows[order[pick]], -1)
+            want_w[py, px, :n] = nw[pick]
+    return want_rows, want_w
+
+
+def test_topk_matches_per_pixel_reference():
+    rng = np.random.default_rng(16)
+    cloud = random_cloud(rng, 12, radius=0.3)
+    cloud.log_scale.data = np.log(rng.uniform(0.15, 0.4, (12, 3)))  # overlap: k slots fill
+    cam = make_camera(16, 16)
+    settings = RenderSettings(top_k=4, tile_size=8)
+    with ad.Tape():
+        out = render(cloud, cam, 0.0, settings=settings)
+    want_rows, want_w = brute_force_topk(out, cloud, settings)
+    assert (want_rows[..., -1] >= 0).sum() > 128
+    assert np.array_equal(out.topk_rows, want_rows)
+    assert np.allclose(out.topk_weights, want_w, rtol=0.0, atol=1e-12)
+
+
+def test_topk_built_once_on_first_read(monkeypatch):
+    render_module = importlib.import_module("pidg.render")
+    builds = []
+    build = render_module._topk_lists
+    monkeypatch.setattr(render_module, "_topk_lists", lambda *a: builds.append(1) or build(*a))
+    rng = np.random.default_rng(17)
+    cloud = random_cloud(rng, 10)
+    with ad.Tape():
+        out = render(cloud, make_camera(16, 16), 0.0)
+    assert builds == []  # a forward-only render builds no top-k lists
+    rows, weights = out.topk_rows, out.topk_weights
+    assert out.topk_rows is rows and out.topk_weights is weights
+    assert builds == [1]
 
 
 def test_composite_alphas_hand_case():

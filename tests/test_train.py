@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pidg import autodiff as ad
+from pidg import io as pio
 from pidg.config import RunConfig
 from pidg.deform import DeformConfig
 from pidg.material import MaterialConfig
@@ -232,6 +233,19 @@ def test_resume_matches_straight_run(tmp_path):
     assert p_straight.read_bytes() == p_resumed.read_bytes()
 
 
+def test_load_rejects_mismatched_particle_counts(tmp_path):
+    data = tiny_data()
+    tr = Trainer(tiny_config(), data)
+    good = tmp_path / "good.pidg"
+    tr.save_checkpoint(good)
+    config, iteration, arrays, scalars = pio.read_checkpoint(good)
+    arrays["cloud.ids"] = arrays["cloud.ids"][:-1]
+    bad = tmp_path / "bad.pidg"
+    pio.write_checkpoint(bad, config, iteration, arrays, scalars)
+    with pytest.raises(ValueError, match=r"19 particle ids but 20 rows in cloud\.mu"):
+        Trainer.from_checkpoint(bad, data)
+
+
 def test_seeded_reruns_are_identical(tmp_path):
     data = tiny_data()
     cfg = tiny_config(iterations=3)
@@ -263,6 +277,25 @@ def test_load_model_renders_identically(tmp_path):
                      normalizer=normalizer, settings=settings,
                      respect_dynamic_mask=tr.stage() == 2).image.data
     assert np.array_equal(got, want)
+
+
+def test_mean_residual_leaves_training_rng_alone(tmp_path):
+    data = tiny_data()
+    cfg = tiny_config(iterations=6, log_interval=1)
+    probed = Trainer(cfg, data)
+    subsets = []
+
+    def probe(row):
+        if row["iter"] == 2:  # after the third step
+            probed.mean_residual()
+            subsets.append(probed.mean_residual(samples=5))
+            subsets.append(probed.mean_residual(samples=5))
+
+    Trainer(cfg, data).run(tmp_path / "plain")
+    probed.run(tmp_path / "probed", on_step=probe)
+    assert subsets[0] == subsets[1]
+    assert ((tmp_path / "plain" / "metrics.csv").read_bytes()
+            == (tmp_path / "probed" / "metrics.csv").read_bytes())
 
 
 # -- ablation wiring -------------------------------------------------------------
