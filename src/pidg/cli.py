@@ -18,6 +18,7 @@ from . import autodiff as ad
 from . import io as pio
 from .camera import Camera, camera_from_fov
 from .config import ABLATIONS, RunConfig
+from .flow import frame_pair_flows, project_velocity
 from .losses import psnr
 from .render import RenderSettings, render
 from .synth import SceneSpec, generate, load_scene, write_scene
@@ -128,7 +129,7 @@ def cmd_render(args) -> int:
     if bad:
         print(f"error: unknown --emit value(s) {bad}", file=sys.stderr)
         return 2
-    respect = iteration >= max(1, int(round(config.stage_switch * config.iterations)))
+    respect = iteration >= config.stage2_start()
     settings = RenderSettings(top_k=config.top_k)
     out_dir = pio.ensure_dir(args.out)
     with ad.Tape():
@@ -138,34 +139,29 @@ def cmd_render(args) -> int:
         pio.write_ppm(out_dir / "render_color.ppm", out.image_np())
     if "depth" in emits:
         pio.write_depth(out_dir / "render_depth.dep", out.depth_np())
-    if data is not None and args.pose is None and args.t is None:
+    own_frame = data is not None and args.pose is None and args.t is None
+    if own_frame:
         print(f"psnr vs frame {frame}: {psnr(out.image_np(), data.images[frame]):.2f} dB",
               file=sys.stderr)
 
     if "flow" in emits or "quiver" in emits:
-        from .flow import gaussian_flow, velocity_flow
-
         if data is None or frame >= data.frames - 1:
             print("error: --emit flow/quiver needs --scene and a camera index with a next frame",
                   file=sys.stderr)
             return 2
+
+        def render_frame(f):
+            return render(cloud, data.cameras[f], data.times[f], deform_field=deform,
+                          normalizer=normalizer, settings=settings, respect_dynamic_mask=respect)
+
         with ad.Tape():
-            out_t = render(cloud, data.cameras[frame], data.times[frame], deform_field=deform,
-                           normalizer=normalizer, settings=settings, respect_dynamic_mask=respect)
-            out_t1 = render(cloud, data.cameras[frame + 1], data.times[frame + 1],
-                            deform_field=deform, normalizer=normalizer, settings=settings,
-                            respect_dynamic_mask=respect)
-            p4 = normalizer.unit4_np(out_t.positions_world, data.times[frame])
-            v_norm, _ = material.evaluate(p4, cloud.ids[out_t.visible_rows])
-            v_world = ad.mul(v_norm, normalizer.scale)
-            flow_g = gaussian_flow(out_t, out_t1)
-            flow_v = velocity_flow(out_t, out_t1, v_world, dt=data.times[frame + 1] - data.times[frame])
+            out_t = out if own_frame else render_frame(frame)
+            flow_g, flow_v, v_world = frame_pair_flows(out_t, render_frame(frame + 1), cloud.ids,
+                                                       material, normalizer)
         if "flow" in emits:
             pio.write_flow(out_dir / "flow_g.flo", flow_g.to_field())
             pio.write_flow(out_dir / "flow_v.flo", flow_v.to_field())
         if "quiver" in emits:
-            from .flow import project_velocity
-
             vbar = project_velocity(data.cameras[frame], out_t.means2d, out_t.depths, v_world)
             img = _draw_quiver(out_t.image_np(), out_t.means2d.data, vbar.data,
                                dt=data.times[frame + 1] - data.times[frame])

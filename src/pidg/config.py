@@ -118,6 +118,10 @@ class RunConfig:
             raise ValueError("invalid config:\n  - " + "\n  - ".join(errors))
         return self
 
+    def stage2_start(self) -> int:
+        """The first stage-2 iteration."""
+        return max(1, int(round(self.stage_switch * self.iterations)))
+
     def effective_weights(self) -> tuple[float, float]:
         """(lambda_cmr, lambda_lpfm) with the ablation applied."""
         cmr = 0.0 if self.ablate == "no-physics" else self.lambda_cmr

@@ -14,7 +14,7 @@ the identity deformation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,12 +75,6 @@ class DeformationField:
     @property
     def grids(self) -> dict[str, MultiResHashGrid3D]:
         return {"g_xyz": self.grid_xyz, "g_xyt": self.grid_xyt, "g_yzt": self.grid_yzt, "g_xzt": self.grid_xzt}
-
-    def grid_params(self) -> list[Tensor]:
-        return [t for g in self.grids.values() for t in g.tables]
-
-    def net_params(self) -> list[Tensor]:
-        return self.f_s.params + self.f_t.params + self.hidden.params + self.head.params
 
     # -- encoding ------------------------------------------------------------
 

@@ -70,17 +70,6 @@ class FlowField:
         return np.hypot(self.vectors[..., 0], self.vectors[..., 1])
 
 
-def backproject(camera, pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
-    """Pixels (N,2) + positive depths -> camera-space points K^-1 * D * (u,v,1)."""
-    pixels = np.atleast_2d(np.asarray(pixels, dtype=np.float64))
-    depths = np.atleast_1d(np.asarray(depths, dtype=np.float64))
-    if np.any(depths <= 0.0):
-        raise ValueError("backprojection needs positive depth")
-    x = (pixels[:, 0] - camera.cx) / camera.fx * depths
-    y = (pixels[:, 1] - camera.cy) / camera.fy * depths
-    return np.stack([x, y, depths], axis=1)
-
-
 def _pixel_grid(height: int, width: int) -> np.ndarray:
     u, v = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
     return np.stack([u, v], axis=-1)  # (H, W, 2) pixel centers
@@ -184,19 +173,6 @@ def eig2x2(a, b, c):
     return lam, u
 
 
-def sqrt2x2(m: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root of a symmetric 2x2 matrix."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (2, 2) or abs(m[0, 1] - m[1, 0]) > 1e-12:
-        raise ValueError("expected a symmetric 2x2 matrix")
-    lam, u = eig2x2(m[0, 0], m[0, 1], m[1, 1])
-    lam, u = lam[0], u[0]
-    if lam.min() < -1e-12:
-        raise ValueError("matrix is not positive semidefinite")
-    s = np.sqrt(np.maximum(lam, 0.0))
-    return (u * s) @ u.T
-
-
 class SparseFlow:
     """Flow predictions on the covered-pixel list of a render (tape tensors)."""
 
@@ -213,11 +189,6 @@ class SparseFlow:
         vecs[self.pix_v, self.pix_u] = self.vec.data
         ok[self.pix_v, self.pix_u] = self.valid
         return FlowField(vecs, ok)
-
-    @classmethod
-    def from_field(cls, field: FlowField) -> "SparseFlow":
-        pv, pu = np.nonzero(np.ones_like(field.valid))
-        return cls(field.valid.shape, pv, pu, ad.constant(field.vectors[pv, pu]), field.valid[pv, pu])
 
 
 def _position_lookup(visible_rows: np.ndarray, n_rows: int) -> np.ndarray:
@@ -348,6 +319,23 @@ def velocity_flow(out_t, out_t1, v_world: Tensor, dt: float) -> SparseFlow:
     end_x = ad.add(tr.mu_t_x, ad.mul(vbar_g[:, 0], float(dt)))
     end_y = ad.add(tr.mu_t_y, ad.mul(vbar_g[:, 1], float(dt)))
     return tr.combine(end_x, end_y)
+
+
+def frame_pair_flows(out_t, out_t1, ids: np.ndarray, material, normalizer):
+    """Both flow predictions of a render pair: (flow_g, flow_v, v_world).
+
+    The material field gives the velocity of each particle visible at frame
+    t (``ids`` are the cloud's particle ids; the frame-t render's visible
+    rows pick theirs) at its deformed position and the frame-t time;
+    ``v_world`` is that velocity in world units. dt is the interval between
+    the two renders' times.
+    """
+    p4 = normalizer.unit4_np(out_t.positions_world, out_t.t)
+    v_norm, _ = material.evaluate(p4, ids[out_t.visible_rows])
+    v_world = ad.mul(v_norm, normalizer.scale)
+    flow_g = gaussian_flow(out_t, out_t1)
+    flow_v = velocity_flow(out_t, out_t1, v_world, dt=out_t1.t - out_t.t)
+    return flow_g, flow_v, v_world
 
 
 def lpfm_loss(flow_g: SparseFlow, flow_v: SparseFlow, flow_gt: FlowField, mask: np.ndarray,

@@ -8,12 +8,14 @@
   the row-major f64 grid.
 * Checkpoint: magic ``PIDGCKPT``, u32 format version, u64 JSON-manifest
   length, the manifest (config, iteration, scalar state, array directory),
-  then the arrays' raw bytes in directory order.
+  then the arrays' raw bytes in directory order, and nothing after them.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -132,7 +134,7 @@ def _dtype_code(arr: np.ndarray) -> str:
         return "f8"
     if arr.dtype == np.int64:
         return "i8"
-    if arr.dtype == np.bool_ or arr.dtype == np.uint8:
+    if arr.dtype == np.bool_:
         return "u1"
     raise ValueError(f"unsupported checkpoint dtype {arr.dtype}")
 
@@ -141,50 +143,74 @@ def write_checkpoint(path, config: dict, iteration: int, arrays: dict, scalars: 
     """Serialize named arrays + scalar state behind a JSON manifest.
 
     ``arrays`` maps name -> ndarray (f8/i8/bool); ``scalars`` must be
-    JSON-representable. Byte output is a pure function of the inputs.
+    JSON-representable. Byte output is a pure function of the inputs. The
+    bytes go to a temporary file next to ``path`` that then replaces it, so
+    a failed write leaves the previous file as it was.
     """
-    directory = []
-    blobs = []
-    for name in sorted(arrays):
-        arr = np.asarray(arrays[name])
-        code = _dtype_code(arr)
-        # note: ascontiguousarray would promote 0-d to 1-d, so record shape first
-        directory.append({"name": name, "dtype": code, "shape": list(arr.shape)})
-        blobs.append(np.ascontiguousarray(arr).astype(_DTYPES[code]).tobytes())
+    items = [(name, np.asarray(arrays[name])) for name in sorted(arrays)]
+    directory = [{"name": name, "dtype": _dtype_code(arr), "shape": list(arr.shape)} for name, arr in items]
     manifest = json.dumps(
         {"config": config, "iteration": int(iteration), "scalars": scalars, "arrays": directory},
         sort_keys=True,
         separators=(",", ":"),
     ).encode()
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", CKPT_VERSION))
-        f.write(struct.pack("<Q", len(manifest)))
-        f.write(manifest)
-        for blob in blobs:
-            f.write(blob)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC)
+            f.write(struct.pack("<I", CKPT_VERSION))
+            f.write(struct.pack("<Q", len(manifest)))
+            f.write(manifest)
+            for (_, arr), entry in zip(items, directory):
+                f.write(arr.astype(_DTYPES[entry["dtype"]], copy=False).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_exact(f, size: int, path, part: str) -> bytes:
+    left = os.fstat(f.fileno()).st_size - f.tell()  # checked first: a corrupt size can be huge
+    if size > left:
+        raise ValueError(f"{path}: checkpoint truncated in {part} ({left} of {size} bytes)")
+    return f.read(size)
 
 
 def read_checkpoint(path):
-    """Returns (config, iteration, arrays, scalars)."""
+    """Returns (config, iteration, arrays, scalars).
+
+    Raises ``ValueError`` naming the file, and the part that is short, when
+    the file is not a checkpoint, is truncated or has bytes after the last
+    array.
+    """
     with open(path, "rb") as f:
-        if f.read(8) != CKPT_MAGIC:
-            raise ValueError("not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
+        header = f.read(20)
+        if not (header.startswith(CKPT_MAGIC) or CKPT_MAGIC.startswith(header)):
+            raise ValueError(f"{path}: not a checkpoint file")
+        if len(header) < 20:
+            raise ValueError(f"{path}: checkpoint truncated in the header ({len(header)} of 20 bytes)")
+        version, mlen = struct.unpack("<IQ", header[8:])
         if version != CKPT_VERSION:
-            raise ValueError(f"checkpoint format version {version} not supported (expected {CKPT_VERSION})")
-        (mlen,) = struct.unpack("<Q", f.read(8))
-        manifest = json.loads(f.read(mlen).decode())
+            raise ValueError(f"{path}: checkpoint format version {version} not supported "
+                             f"(expected {CKPT_VERSION})")
+        try:
+            manifest = json.loads(_read_exact(f, mlen, path, "the manifest").decode())
+            entries = [(e["name"], e["dtype"], tuple(e["shape"])) for e in manifest["arrays"]]
+            config, iteration, scalars = manifest["config"], manifest["iteration"], manifest["scalars"]
+        except (KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: unreadable checkpoint manifest ({exc})") from exc
         arrays = {}
-        for entry in manifest["arrays"]:
-            dt = np.dtype(_DTYPES[entry["dtype"]])
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            raw = np.frombuffer(f.read(count * dt.itemsize), dtype=dt)
-            arr = raw.reshape(entry["shape"]).copy()
-            if entry["dtype"] == "u1":
-                arr = arr.astype(bool)
-            arrays[entry["name"]] = arr
-    return manifest["config"], manifest["iteration"], arrays, manifest["scalars"]
+        for name, code, shape in entries:
+            if code not in _DTYPES or not all(isinstance(n, int) and n >= 0 for n in shape):
+                raise ValueError(f"{path}: array {name!r} has dtype {code!r} and shape {list(shape)}")
+            dt = np.dtype(_DTYPES[code])
+            raw = _read_exact(f, math.prod(shape) * dt.itemsize, path, f"array {name!r}")
+            arr = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
+            arrays[name] = arr.astype(bool) if code == "u1" else arr
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last checkpoint array")
+    return config, iteration, arrays, scalars
 
 
 def ensure_dir(path) -> Path:

@@ -135,16 +135,6 @@ class MaterialField:
         out = self.head(h)
         return ad.getitem(out, (slice(None), slice(0, 3))), ad.getitem(out, (slice(None), slice(3, 9)))
 
-    def velocity_fn(self, particle_id: int):
-        """Single-point (4,) -> (3,) velocity closure (for Jacobian probing)."""
-
-        def fn(p4: Tensor) -> Tensor:
-            pts = ad.reshape(p4, (1, 4))
-            v, _ = self.evaluate(pts, np.array([particle_id], dtype=np.int64))
-            return ad.reshape(v, (3,))
-
-        return fn
-
     def evaluate_with_jets(self, points: np.ndarray, ids: np.ndarray):
         """Velocity and stress jets at detached query points.
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, accumulate_grad, record
 from .camera import Camera
-from .scene import SH_C0, SH_C1, GaussianCloud, covariance
+from .scene import SH_C0, SH_C1, GaussianCloud, _rotmats_np, covariance
 
 
 @dataclass
@@ -313,41 +313,6 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
                  "topk": lambda: _topk_lists(tiles, tile_weights, rows_sorted, height, width, k_top)}
 
 
-def composite_alphas(alphas, colors, depths, bg_color=(0.0, 0.0, 0.0), bg_depth=0.0):
-    """Front-to-back compositing rule for one pixel from given alphas.
-
-    ``alphas``/``colors``/``depths`` are depth-sorted Tensors of shapes (M,),
-    (M,3), (M,). Returns (color (3,), depth scalar, weights (M,))."""
-    m = alphas.data.shape[0]
-    trans_parts = []
-    t_run = ad.constant(1.0)
-    for i in range(m):
-        trans_parts.append(t_run)
-        t_run = ad.mul(t_run, 1.0 - alphas[i])
-    trans = ad.stack(trans_parts, axis=0) if m else ad.constant(np.ones(0))
-    weights = ad.mul(alphas, trans)
-    color = ad.sum_(ad.mul(ad.reshape(weights, (m, 1)), colors), axis=0) + ad.mul(t_run, ad.constant(np.asarray(bg_color, dtype=np.float64)))
-    depth = ad.sum_(ad.mul(weights, depths)) + t_run * bg_depth
-    return color, depth, weights
-
-
-def composite(pixel, means2d, conic, colors, opacity, depths, settings: RenderSettings | None = None):
-    """Reference single-pixel compositing from raw contributor attributes.
-
-    Contributors must already be depth-sorted (ties by id). Differentiable;
-    used as the small-scale mirror of the rasterizer's math.
-    """
-    settings = settings or RenderSettings()
-    u, v = float(pixel[0]), float(pixel[1])
-    dx = ad.sub(u, means2d[:, 0])
-    dy = ad.sub(v, means2d[:, 1])
-    q = ad.mul(conic[:, 0], ad.mul(dx, dx)) + 2.0 * ad.mul(conic[:, 1], ad.mul(dx, dy)) + ad.mul(conic[:, 2], ad.mul(dy, dy))
-    alpha = ad.clip(ad.mul(opacity, ad.exp(-0.5 * q)), 0.0, settings.alpha_max)
-    keep = (q.data <= settings.support_chi2) & (alpha.data >= settings.alpha_min)
-    alpha = ad.where(keep, alpha, ad.constant(np.zeros_like(alpha.data)))
-    return composite_alphas(alpha, colors, depths, settings.bg_color, settings.bg_depth)
-
-
 def render(
     cloud: GaussianCloud,
     camera: Camera,
@@ -420,19 +385,6 @@ def render(
 # -- independent per-pixel oracle (no tape, no tiling) ------------------------
 
 
-def _np_rotmats(q: np.ndarray) -> np.ndarray:
-    q = q / np.linalg.norm(q, axis=1, keepdims=True)
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    return np.stack(
-        [
-            np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], 1),
-            np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], 1),
-            np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], 1),
-        ],
-        1,
-    )
-
-
 def render_brute_force(cloud: GaussianCloud, camera: Camera, settings: RenderSettings | None = None) -> np.ndarray:
     """Naive reference renderer: full reprojection and a per-pixel loop over
     every particle in depth order. Returns (H, W, 4) rgb+depth."""
@@ -442,7 +394,8 @@ def render_brute_force(cloud: GaussianCloud, camera: Camera, settings: RenderSet
     out = np.empty((h, w, 4))
 
     mu = cloud.mu.data
-    rot = _np_rotmats(cloud.quat.data)
+    q = cloud.quat.data
+    rot = _rotmats_np(q / np.linalg.norm(q, axis=1, keepdims=True))
     s = np.exp(cloud.log_scale.data)
     m = rot * s[:, None, :]
     cov = m @ np.swapaxes(m, 1, 2)

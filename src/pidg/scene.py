@@ -63,6 +63,8 @@ def covariance(quat: Tensor, log_scale: Tensor) -> Tensor:
 class GaussianCloud:
     """Learnable particle set. Attribute tensors share row order with ``ids``."""
 
+    PARAMS = ("mu", "quat", "log_scale", "sh", "opacity_logit")  # constructor order
+
     def __init__(self, mu, quat, log_scale, sh, opacity_logit, ids, dynamic=None):
         self.mu = mu if isinstance(mu, Tensor) else ad.parameter(mu)
         self.quat = quat if isinstance(quat, Tensor) else ad.parameter(quat)
@@ -77,13 +79,7 @@ class GaussianCloud:
 
     @property
     def params(self) -> dict[str, Tensor]:
-        return {
-            "mu": self.mu,
-            "quat": self.quat,
-            "log_scale": self.log_scale,
-            "sh": self.sh,
-            "opacity_logit": self.opacity_logit,
-        }
+        return {name: getattr(self, name) for name in self.PARAMS}
 
     @classmethod
     def random_init(cls, rng, count, center, radius, base_scale, opacity=0.1, color=0.35):
@@ -206,14 +202,6 @@ def densify_and_prune(
     n_appended = len(ids) - len(kept)
     cloud.replace_rows(merged, ids, dyn)
     return kept, n_appended
-
-
-def prune_only(cloud: GaussianCloud, scale_threshold: float, scene_extent: float, min_opacity: float = 0.005):
-    """Remove overgrown/faint particles; returns the surviving row indices."""
-    keep = np.nonzero(~prune_mask(cloud, scale_threshold, scene_extent, min_opacity))[0]
-    arrays = {k: v.data[keep] for k, v in cloud.params.items()}
-    cloud.replace_rows(arrays, cloud.ids[keep], cloud.dynamic[keep])
-    return keep
 
 
 def _rotmats_np(q: np.ndarray) -> np.ndarray:

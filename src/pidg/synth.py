@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import Camera, camera_from_fov
-from .flow import FlowField
+from .flow import FlowField, _pixel_grid
 from .render import RenderSettings, render
 from .scene import SH_C0, GaussianCloud
 from . import io as pio
@@ -231,11 +231,6 @@ class SyntheticScene:
     def frames(self) -> int:
         return len(self.times)
 
-    def analytic_truth(self, t: float):
-        """Per-particle (position, velocity, stress) at normalized time t."""
-        x0 = self.cloud0.mu.data
-        return self.motion.forward(x0, t), self.motion.velocity(x0, t), self.motion.stress(x0, t)
-
     def cloud_at(self, f: int) -> GaussianCloud:
         """Ground-truth cloud posed at frame f (rigid variants rotate shapes)."""
         t = self.times[f]
@@ -282,8 +277,7 @@ def _quat_multiply(q: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _surface_points(depth: np.ndarray, camera: Camera) -> np.ndarray:
     """Backproject a depth map to world points (invalid pixels -> depth 1)."""
     h, w = depth.shape
-    u, v = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    pix = np.stack([u.reshape(-1), v.reshape(-1)], axis=1)
+    pix = _pixel_grid(h, w).reshape(-1, 2)
     d = np.where(depth.reshape(-1) > 0.0, depth.reshape(-1), 1.0)
     return camera.backproject(pix, d).reshape(h, w, 3)
 
@@ -342,7 +336,7 @@ def generate(spec: SceneSpec) -> SyntheticScene:
         surf1 = _surface_points(depths[f + 1], cams[f + 1]).reshape(-1, 3)
         back = motion.forward(motion.inverse(surf1, t1), t0)
         p1, z1 = cams[f].project(back)
-        grid1 = _pixel_grid_flat(spec.height, spec.width)
+        grid1 = _pixel_grid(spec.height, spec.width).reshape(-1, 2)
         okb = covers[f + 1].reshape(-1) & (z1 > 0)
         flows_b.append(FlowField((p1 - grid1).reshape(spec.height, spec.width, 2),
                                  okb.reshape(spec.height, spec.width)))
@@ -374,11 +368,6 @@ def generate(spec: SceneSpec) -> SyntheticScene:
     margin = 4.0 * spec.base_scale + 0.2 * max(half, 1e-3)
     scene.bounds = (center, 2.0 * (half + margin))
     return scene
-
-
-def _pixel_grid_flat(height: int, width: int) -> np.ndarray:
-    u, v = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
-    return np.stack([u.reshape(-1), v.reshape(-1)], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import io as pio
 from .config import RunConfig
 from .deform import DeformationField
-from .flow import decompose_backward, gaussian_flow, lpfm_loss, velocity_flow, warp_flow_forward
+from .flow import decompose_backward, frame_pair_flows, gaussian_flow, lpfm_loss, warp_flow_forward
 from .losses import psnr, renders_loss, ssim
 from .material import MaterialField
 from .optim import Adam, exp_decay
@@ -53,26 +53,29 @@ class Trainer:
         self.normalizer = SceneNormalizer(center, scale)
         self.extent = 0.5 * self.normalizer.scale
         self.settings = RenderSettings(top_k=config.top_k, threads=1)
-        self.deform = DeformationField(config.deform, self.rng)
-        self.material = MaterialField(config.init_particles, self.rng, config.material)
-        self.cloud = self._init_cloud()
-        self.iteration = 0
-        self.stage2_start = max(1, int(round(config.stage_switch * config.iterations)))
+        self.stage2_start = config.stage2_start()
         self.metrics: list[str] = []
-        self._grad_accum = np.zeros(len(self.cloud.ids))
-        self._grad_count = np.zeros(len(self.cloud.ids))
         self._gt_flows: dict[int, object] = {}
+        if state is None:
+            self.deform = DeformationField(config.deform, self.rng)
+            self.material = MaterialField(config.init_particles, self.rng, config.material)
+            self.cloud = self._init_cloud()
+            self.iteration = 0
+            self._grad_accum = np.zeros(len(self.cloud.ids))
+            self._grad_count = np.zeros(len(self.cloud.ids))
+        else:
+            _, iteration, arrays, scalars = state
+            self.cloud, self.deform, self.material = model_from_arrays(config, arrays)
+            self.iteration = int(iteration)
+            self._grad_accum = np.array(arrays["densify.grad_accum"])
+            self._grad_count = np.array(arrays["densify.grad_count"])
+            self.rng.bit_generator.state = _rng_state_from_json(scalars["rng_state"])
 
         self.opt = Adam()
-        for name, p in self.cloud.params.items():
-            self.opt.register(f"cloud.{name}", p)
-        for name, p in self.deform.params.items():
-            self.opt.register(f"deform.{name}", p)
-        for name, p in self.material.params:
-            self.opt.register(f"material.{name}", p)
-
+        for name, p in model_params(self.cloud, self.deform, self.material).items():
+            self.opt.register(name, p)
         if state is not None:
-            self._load_state(*state)
+            self.opt.load_state_arrays({k[len("opt."):]: v for k, v in arrays.items() if k.startswith("opt.")})
 
     # -- setup ---------------------------------------------------------------
 
@@ -144,6 +147,17 @@ class Trainer:
 
     # -- per-iteration pieces --------------------------------------------------
 
+    def _deformed_positions(self, rows, t: float, dynamic=None) -> np.ndarray:
+        """World positions of the cloud ``rows`` deformed to time t, computed
+        under a throwaway tape (no gradient reaches the cloud or the field)."""
+        mu = self.cloud.mu.data[rows]
+        with ad.Tape():
+            mu_d, _, _ = self.deform.deform_gaussians(
+                ad.constant(mu), ad.constant(self.cloud.quat.data[rows]),
+                ad.constant(self.cloud.log_scale.data[rows]),
+                ad.constant(self.normalizer.unit4_np(mu, t)), dynamic=dynamic)
+        return mu_d.data
+
     def _cmr_points(self, frame: int):
         """Detached normalized sample coordinates at the deformed particle positions."""
         n = len(self.cloud.ids)
@@ -152,14 +166,8 @@ class Trainer:
         times = self.data.times
         jitter = self.rng.uniform(-0.5, 0.5) / max(1, len(times) - 1)
         t_s = float(np.clip(times[frame] + jitter, 0.0, 1.0))
-        with ad.Tape():
-            mu = ad.constant(self.cloud.mu.data[sel])
-            quat = ad.constant(self.cloud.quat.data[sel])
-            log_scale = ad.constant(self.cloud.log_scale.data[sel])
-            p4 = ad.constant(self.normalizer.unit4_np(mu.data, t_s))
-            dyn = self.cloud.dynamic[sel] if self.stage() == 2 else None
-            mu_d, _, _ = self.deform.deform_gaussians(mu, quat, log_scale, p4, dynamic=dyn)
-            world = mu_d.data
+        dyn = self.cloud.dynamic[sel] if self.stage() == 2 else None
+        world = self._deformed_positions(sel, t_s, dynamic=dyn)
         return self.normalizer.unit4_np(world, t_s), self.cloud.ids[sel]
 
     def _accumulate_densify_stats(self, out) -> None:
@@ -195,14 +203,7 @@ class Trainer:
         self._grad_count = np.zeros(len(self.cloud.ids))
 
     def _enter_stage2(self) -> None:
-        positions = []
-        times = self.data.times
-        for f in range(self.data.frames):
-            with ad.Tape():
-                p4 = ad.constant(self.normalizer.unit4_np(self.cloud.mu.data, times[f]))
-                mu_d, _, _ = self.deform.deform_gaussians(
-                    self.cloud.mu, self.cloud.quat, self.cloud.log_scale, p4)
-                positions.append(mu_d.data.copy())
+        positions = [self._deformed_positions(slice(None), t) for t in self.data.times]
         self.cloud.dynamic = partition_dynamic(np.stack(positions), self.data.masks,
                                                self.data.cameras, self.config.dynamic_fraction)
 
@@ -235,11 +236,8 @@ class Trainer:
                     out1 = render(self.cloud, self.data.cameras[f + 1], times[f + 1],
                                   deform_field=self.deform, normalizer=self.normalizer,
                                   settings=self.settings, respect_dynamic_mask=True)
-                    p4 = self.normalizer.unit4_np(out.positions_world, times[f])
-                    v_norm, _ = self.material.evaluate(p4, self.cloud.ids[out.visible_rows])
-                    v_world = ad.mul(v_norm, self.normalizer.scale)
-                    flow_g = gaussian_flow(out, out1)
-                    flow_v = velocity_flow(out, out1, v_world, dt=times[f + 1] - times[f])
+                    flow_g, flow_v, _ = frame_pair_flows(out, out1, self.cloud.ids, self.material,
+                                                         self.normalizer)
                     l_lpfm = lpfm_loss(flow_g, flow_v, self._gt_flow(f), self.data.masks[f],
                                        cfg.lambda_g, cfg.lambda_v)
                     l_lpfm_val = _finite_or_abort(float(l_lpfm.data), "flow-matching", i)
@@ -371,12 +369,7 @@ class Trainer:
         else:
             rng = np.random.default_rng(self.config.seed)
             sel = np.sort(rng.choice(n, samples, replace=False))
-        with ad.Tape():
-            p4 = ad.constant(self.normalizer.unit4_np(self.cloud.mu.data[sel], t))
-            mu_d, _, _ = self.deform.deform_gaussians(
-                ad.constant(self.cloud.mu.data[sel]), ad.constant(self.cloud.quat.data[sel]),
-                ad.constant(self.cloud.log_scale.data[sel]), p4)
-            world = mu_d.data
+        world = self._deformed_positions(sel, t)
         with ad.Tape():
             vel, sig = self.material.evaluate_with_jets(
                 self.normalizer.unit4_np(world, t), self.cloud.ids[sel])
@@ -388,15 +381,7 @@ class Trainer:
     # -- persistence -----------------------------------------------------------
 
     def save_checkpoint(self, path) -> None:
-        arrays: dict[str, np.ndarray] = {}
-        for name, p in self.cloud.params.items():
-            arrays[f"cloud.{name}"] = p.data
-        arrays["cloud.ids"] = self.cloud.ids
-        arrays["cloud.dynamic"] = self.cloud.dynamic
-        for name, p in self.deform.params.items():
-            arrays[f"deform.{name}"] = p.data
-        for name, p in self.material.params:
-            arrays[f"material.{name}"] = p.data
+        arrays = model_arrays(self.cloud, self.deform, self.material)
         for name, value in self.opt.state_arrays().items():
             arrays[f"opt.{name}"] = np.asarray(value)
         arrays["densify.grad_accum"] = self._grad_accum
@@ -404,30 +389,6 @@ class Trainer:
         config = {"run": self.config.to_dict(), "normalizer": self.normalizer.to_dict()}
         scalars = {"rng_state": _rng_state_to_json(self.rng)}
         pio.write_checkpoint(path, config, self.iteration, arrays, scalars)
-
-    def _load_state(self, config_dict: dict, iteration: int, arrays: dict, scalars: dict) -> None:
-        n = arrays["cloud.ids"].shape[0]
-        for name in [f"cloud.{p}" for p in self.cloud.params] + ["cloud.dynamic"]:
-            rows = arrays[name].shape[0]
-            if rows != n:
-                raise ValueError(f"checkpoint has {n} particle ids but {rows} rows in {name}")
-        cloud_arrays = {name: arrays[f"cloud.{name}"] for name in self.cloud.params}
-        # rebuild the cloud at the checkpoint size, then re-point optimizer slots
-        self.cloud = GaussianCloud(cloud_arrays["mu"], cloud_arrays["quat"],
-                                   cloud_arrays["log_scale"], cloud_arrays["sh"],
-                                   cloud_arrays["opacity_logit"], arrays["cloud.ids"],
-                                   arrays["cloud.dynamic"])
-        for name, p in self.cloud.params.items():
-            self.opt.slots[f"cloud.{name}"]["param"] = p
-        for name, p in self.deform.params.items():
-            p.data = np.array(arrays[f"deform.{name}"])
-        for name, p in self.material.params:
-            p.data = np.array(arrays[f"material.{name}"])
-        self.opt.load_state_arrays({k[len("opt."):]: v for k, v in arrays.items() if k.startswith("opt.")})
-        self._grad_accum = np.array(arrays["densify.grad_accum"])
-        self._grad_count = np.array(arrays["densify.grad_count"])
-        self.rng.bit_generator.state = _rng_state_from_json(scalars["rng_state"])
-        self.iteration = int(iteration)
 
     @classmethod
     def from_checkpoint(cls, path, data: SceneData) -> "Trainer":
@@ -443,18 +404,48 @@ def load_model(path):
     arbitrary pose only needs the learned state)."""
     config_dict, iteration, arrays, _ = pio.read_checkpoint(path)
     config = RunConfig.from_dict(config_dict["run"])
+    cloud, deform, material = model_from_arrays(config, arrays)
+    return config, iteration, cloud, deform, material, SceneNormalizer.from_dict(config_dict["normalizer"])
+
+
+# -- the checkpoint's model layout ------------------------------------------------
+
+
+def model_params(cloud: GaussianCloud, deform: DeformationField, material: MaterialField) -> dict:
+    """The model's learnable tensors under their checkpoint (and optimizer) names."""
+    named = {f"cloud.{name}": p for name, p in cloud.params.items()}
+    named.update({f"deform.{name}": p for name, p in deform.params.items()})
+    named.update({f"material.{name}": p for name, p in material.params})
+    return named
+
+
+def model_arrays(cloud: GaussianCloud, deform: DeformationField, material: MaterialField) -> dict:
+    """(cloud, deform, material) -> the named checkpoint arrays that hold them."""
+    arrays = {name: p.data for name, p in model_params(cloud, deform, material).items()}
+    arrays["cloud.ids"] = cloud.ids
+    arrays["cloud.dynamic"] = cloud.dynamic
+    return arrays
+
+
+def model_from_arrays(config: RunConfig, arrays: dict):
+    """Named checkpoint arrays -> (cloud, deform, material); the inverse of
+    ``model_arrays``. Raises ``ValueError`` when the cloud arrays disagree on
+    the particle count."""
+    n = arrays["cloud.ids"].shape[0]
+    for name in [f"cloud.{p}" for p in GaussianCloud.PARAMS] + ["cloud.dynamic"]:
+        rows = arrays[name].shape[0]
+        if rows != n:
+            raise ValueError(f"checkpoint has {n} particle ids but {rows} rows in {name}")
+    cloud = GaussianCloud(*(arrays[f"cloud.{p}"] for p in GaussianCloud.PARAMS),
+                          arrays["cloud.ids"], arrays["cloud.dynamic"])
+    # the fields' initial values are random; every one is replaced below
     rng = np.random.default_rng(config.seed)
     deform = DeformationField(config.deform, rng)
     material = MaterialField(config.init_particles, rng, config.material)
-    for name, p in deform.params.items():
-        p.data = np.array(arrays[f"deform.{name}"])
-    for name, p in material.params:
-        p.data = np.array(arrays[f"material.{name}"])
-    cloud = GaussianCloud(arrays["cloud.mu"], arrays["cloud.quat"], arrays["cloud.log_scale"],
-                          arrays["cloud.sh"], arrays["cloud.opacity_logit"],
-                          arrays["cloud.ids"], arrays["cloud.dynamic"])
-    normalizer = SceneNormalizer.from_dict(config_dict["normalizer"])
-    return config, iteration, cloud, deform, material, normalizer
+    for name, p in model_params(cloud, deform, material).items():
+        if not name.startswith("cloud."):
+            p.data = np.array(arrays[name])
+    return cloud, deform, material
 
 
 def _rng_state_to_json(rng: np.random.Generator) -> dict:

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 import pidg.autodiff as ad
+import pidg.cli as cli
 from pidg.cli import main
 from pidg.config import RunConfig
 from pidg.deform import DeformConfig
-from pidg.flow import gaussian_flow
-from pidg.io import read_depth, read_flow, read_ppm
+from pidg.flow import gaussian_flow, project_velocity, velocity_flow
+from pidg.io import read_depth, read_flow, read_ppm, write_flow, write_ppm
 from pidg.losses import psnr, ssim
 from pidg.material import MaterialConfig
-from pidg.render import render
+from pidg.render import RenderSettings, render
 from pidg.synth import SceneSpec, load_scene
-from pidg.train import Trainer
+from pidg.train import Trainer, load_model
 
 
 def small_spec_dict():
@@ -122,6 +123,50 @@ def test_render_flow_and_quiver(workspace, tmp_path):
     assert fg.vectors.shape == (24, 24, 2) and fv.vectors.shape == (24, 24, 2)
     assert fg.valid.any()
     assert read_ppm(out / "quiver.ppm").shape == (24, 24, 3)
+
+
+@pytest.mark.parametrize("extra, renders", [([], 2), (["--t", "own"], 3)])
+def test_render_flow_renders_each_frame_once(workspace, tmp_path, monkeypatch, extra, renders):
+    """--emit flow,quiver renders the chosen frame once (twice with --t, whose
+    render may be at another time) and the next frame once; every file equals
+    one computed from a fresh render of each frame."""
+    data = load_scene(workspace["scene"])
+    f = 1
+    calls = []
+
+    def counting_render(*args, **kwargs):
+        calls.append(args[2])
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "render", counting_render)
+    out = tmp_path / "rf"
+    extra = [repr(data.times[f]) if a == "own" else a for a in extra]
+    assert main(["render", str(workspace["ckpt"]), "--scene", str(workspace["scene"]),
+                 "--camera", str(f), "--out", str(out), "--emit", "color,depth,flow,quiver", *extra]) == 0
+    assert len(calls) == renders, calls
+
+    config, iteration, cloud, deform, material, normalizer = load_model(workspace["ckpt"])
+    settings = RenderSettings(top_k=config.top_k)
+    dt = data.times[f + 1] - data.times[f]
+    with ad.Tape():
+        out_t, out_t1 = (render(cloud, data.cameras[g], data.times[g], deform_field=deform,
+                                normalizer=normalizer, settings=settings,
+                                respect_dynamic_mask=iteration >= config.stage2_start())
+                         for g in (f, f + 1))
+        p4 = normalizer.unit4_np(out_t.positions_world, data.times[f])
+        v_norm, _ = material.evaluate(p4, cloud.ids[out_t.visible_rows])
+        v_world = ad.mul(v_norm, normalizer.scale)
+        flow_g = gaussian_flow(out_t, out_t1)
+        flow_v = velocity_flow(out_t, out_t1, v_world, dt=dt)
+    vbar = project_velocity(data.cameras[f], out_t.means2d, out_t.depths, v_world)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    write_flow(ref / "flow_g.flo", flow_g.to_field())
+    write_flow(ref / "flow_v.flo", flow_v.to_field())
+    write_ppm(ref / "quiver.ppm", cli._draw_quiver(out_t.image_np(), out_t.means2d.data, vbar.data, dt=dt))
+    write_ppm(ref / "render_color.ppm", out_t.image_np())
+    for name in ("flow_g.flo", "flow_v.flo", "quiver.ppm", "render_color.ppm"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def test_render_from_pose_json(workspace, tmp_path):

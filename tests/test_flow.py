@@ -8,18 +8,16 @@ from pidg.camera import Camera, camera_from_fov
 from pidg.flow import (
     FlowField,
     SparseFlow,
-    backproject,
     bilinear_sample,
     decompose_backward,
     eig2x2,
     gaussian_flow,
     lpfm_loss,
     project_velocity,
-    sqrt2x2,
     velocity_flow,
     warp_flow_forward,
 )
-from pidg.render import RenderOutput, RenderSettings
+from pidg.render import RenderOutput
 
 
 # ---------------------------------------------------------------- basic types
@@ -40,14 +38,6 @@ def test_flow_field_shape_validation():
         FlowField(np.zeros((3, 4, 3)), np.ones((3, 4), dtype=bool))
     with pytest.raises(ValueError):
         FlowField(np.zeros((3, 4, 2)), np.ones((4, 3), dtype=bool))
-
-
-def test_backproject_rejects_nonpositive_depth():
-    cam = camera_from_fov((0, 0, -2), (0, 0, 0), 45.0, 16, 16)
-    with pytest.raises(ValueError):
-        backproject(cam, np.array([[8.0, 8.0]]), np.array([0.0]))
-    p = backproject(cam, np.array([[cam.cx, cam.cy]]), np.array([2.0]))
-    assert np.allclose(p, [[0.0, 0.0, 2.0]])  # principal ray
 
 
 # ---------------------------------------------------------------- sampling
@@ -113,23 +103,6 @@ def test_eig2x2_isotropic_gets_identity_basis():
     lam, u = eig2x2(2.0, 0.0, 2.0)
     assert np.allclose(lam[0], [2.0, 2.0])
     assert np.allclose(u[0], np.eye(2))
-
-
-def test_sqrt2x2_squares_back():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        r = rng.normal(size=(2, 2))
-        m = r @ r.T + 0.1 * np.eye(2)
-        s = sqrt2x2(m)
-        assert np.allclose(s @ s, m, atol=1e-12)
-        assert np.allclose(s, s.T, atol=1e-12)
-
-
-def test_sqrt2x2_rejects_bad_input():
-    with pytest.raises(ValueError):
-        sqrt2x2(np.array([[1.0, 0.5], [0.2, 1.0]]))  # asymmetric
-    with pytest.raises(ValueError):
-        sqrt2x2(np.array([[-1.0, 0.0], [0.0, 1.0]]))  # not PSD
 
 
 # ---------------------------------------------------------------- decomposition
@@ -374,15 +347,3 @@ def test_lpfm_loss_rejects_mismatched_pixel_sets():
                        ad.constant(np.zeros((2, 2))), np.array([True, True]))
         with pytest.raises(ValueError):
             lpfm_loss(g, v, FlowField.zeros(2, 2), np.ones((2, 2)))
-
-
-def test_sparse_flow_field_round_trip():
-    rng = np.random.default_rng(6)
-    vec = rng.normal(size=(4, 5, 2))
-    ok = rng.uniform(size=(4, 5)) > 0.4
-    field = FlowField(vec, ok)
-    with ad.Tape():
-        sparse = SparseFlow.from_field(field)
-        back = sparse.to_field()
-    assert np.array_equal(back.vectors, field.vectors)
-    assert np.array_equal(back.valid, field.valid)

@@ -1,11 +1,18 @@
 """File formats: round trips, byte layouts, version guards."""
 
+import errno
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import pidg.io as pio
 from pidg.camera import camera_from_fov
 from pidg.flow import FlowField
 from pidg.io import (
@@ -179,6 +186,88 @@ def test_checkpoint_version_guard(tmp_path):
 def test_checkpoint_rejects_unsupported_dtype(tmp_path):
     with pytest.raises(ValueError):
         write_checkpoint(tmp_path / "x.pidg", {}, 0, {"bad": np.zeros(2, dtype=np.float32)}, {})
+    # u1 stores bool; uint8 would read back as bool, so it is refused too
+    with pytest.raises(ValueError, match="unsupported checkpoint dtype uint8"):
+        write_checkpoint(tmp_path / "x.pidg", {}, 0, {"bad": np.array([7, 200], dtype=np.uint8)}, {})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    p = tmp_path / "t.pidg"
+    write_checkpoint(p, {}, 0, {"a": np.zeros(2)}, {})
+    p.write_bytes(p.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        read_checkpoint(p)
+
+
+def test_checkpoint_truncation_names_file_and_part(tmp_path):
+    p = tmp_path / "c.pidg"
+    write_checkpoint(p, {}, 0, {"a": np.zeros(2), "b": np.arange(3)}, {})
+    raw = p.read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[12:20])
+    for cut, part in ((10, "the header"), (20 + mlen // 2, "the manifest"),
+                      (20 + mlen + 4, "array 'a'"), (len(raw) - 1, "array 'b'")):
+        p.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match=f"{p.name}: checkpoint truncated in {part}"):
+            read_checkpoint(p)
+
+
+class _DiskFull:
+    """A file that accepts ``budget`` bytes, then fails as a full disk does."""
+
+    def __init__(self, f, budget):
+        self.f, self.budget = f, budget
+
+    def write(self, data):
+        if len(data) > self.budget:
+            self.f.write(data[: self.budget])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(data)
+        return self.f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
+    p = tmp_path / "state.pidg"
+    write_checkpoint(p, {"v": 1}, 1, {"a": np.zeros(100)}, {})
+    before = p.read_bytes()
+    monkeypatch.setattr(pio, "open", lambda path, mode: _DiskFull(open(path, mode), 400), raising=False)
+    with pytest.raises(OSError):
+        write_checkpoint(p, {"v": 2}, 2, {"a": np.ones(100)}, {})
+    assert p.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [p]  # no temporary file left behind
+
+
+_checkpoint_arrays = st.dictionaries(
+    st.text("abcxyz._", min_size=1, max_size=6),
+    st.one_of(*(hnp.arrays(dt, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+                for dt in (np.float64, np.int64, np.bool_))),
+    max_size=3,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrays=_checkpoint_arrays)
+def test_checkpoint_round_trip_and_prefixes_property(arrays):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "p.pidg"
+        write_checkpoint(p, {"k": 1}, 5, arrays, {"s": [1, 2]})
+        raw = p.read_bytes()
+        _, iteration, back, _ = read_checkpoint(p)
+        assert iteration == 5 and set(back) == set(arrays)
+        for name, arr in arrays.items():
+            assert back[name].dtype == arr.dtype
+            assert back[name].shape == arr.shape
+            assert back[name].tobytes() == arr.tobytes()
+        for cut in range(len(raw)):
+            p.write_bytes(raw[:cut])
+            with pytest.raises(ValueError):
+                read_checkpoint(p)
 
 
 def test_checkpoint_manifest_is_compact_json(tmp_path):

@@ -139,16 +139,6 @@ def test_jet_partial_losses_reach_parameters():
             assert np.isclose(gflat[i], (fp - fm) / (2 * h), rtol=1e-4, atol=1e-8)
 
 
-def test_velocity_fn_closure_matches_evaluate():
-    field = perturbed_field(seed=8)
-    p4 = np.array([0.3, 0.6, 0.4, 0.5])
-    fn = field.velocity_fn(2)
-    with ad.Tape():
-        v_closure = fn(ad.constant(p4)).data
-        v_eval, _ = field.evaluate(p4[None], np.array([2]))
-    assert np.allclose(v_closure, v_eval.data[0], atol=1e-15)
-
-
 def test_entry_counts_cover_all_planes():
     field = MaterialField(4, np.random.default_rng(9), tiny_config())
     counts = field.entry_counts()

@@ -9,7 +9,6 @@ import pidg.autodiff as ad
 from pidg.camera import camera_from_fov
 from pidg.render import (
     RenderSettings,
-    composite_alphas,
     render,
     render_brute_force,
 )
@@ -193,20 +192,6 @@ def test_topk_built_once_on_first_read(monkeypatch):
     rows, weights = out.topk_rows, out.topk_weights
     assert out.topk_rows is rows and out.topk_weights is weights
     assert builds == [1]
-
-
-def test_composite_alphas_hand_case():
-    with ad.Tape():
-        color, depth, weights = composite_alphas(
-            ad.constant(np.array([0.5, 0.5])),
-            ad.constant(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])),
-            ad.constant(np.array([2.0, 4.0])),
-            bg_color=(0.0, 0.0, 1.0),
-            bg_depth=8.0,
-        )
-    assert np.allclose(weights.data, [0.5, 0.25])
-    assert np.allclose(color.data, [0.5, 0.25, 0.25])       # bg gets T=0.25
-    assert np.isclose(depth.data, 0.5 * 2 + 0.25 * 4 + 0.25 * 8)
 
 
 def test_render_gradients_match_fd():

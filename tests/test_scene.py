@@ -13,7 +13,6 @@ from pidg.scene import (
     densify_and_prune,
     normalize_quaternions,
     partition_dynamic,
-    prune_only,
     rotation_matrices,
 )
 
@@ -150,16 +149,6 @@ def test_densify_prunes_faint_and_overgrown():
     assert np.array_equal(kept, [0, 1, 3, 5])
     assert appended == 0
     assert len(cloud) == 4
-
-
-def test_prune_only_postcondition():
-    cloud = make_cloud(n=8, base_scale=0.05)
-    cloud.opacity_logit.data[[1, 6]] = -20.0
-    keep = prune_only(cloud, scale_threshold=0.15, scene_extent=1.0)
-    assert np.array_equal(keep, [0, 2, 3, 4, 5, 7])
-    assert len(cloud) == 6
-    assert np.all(cloud.opacities() >= 0.005)
-    assert np.all(cloud.world_scales().max(axis=1) <= 0.15)
 
 
 # ---------------------------------------------------------------- normalizer

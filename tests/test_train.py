@@ -88,8 +88,9 @@ def test_config_from_dict_rejects_unknown_field():
 # -- stages and metrics --------------------------------------------------------
 
 def test_stage_boundaries():
-    tr = Trainer(tiny_config(iterations=10, stage_switch=0.6), tiny_data())
-    assert tr.stage2_start == 6
+    cfg = tiny_config(iterations=10, stage_switch=0.6)
+    tr = Trainer(cfg, tiny_data())
+    assert tr.stage2_start == cfg.stage2_start() == 6
     assert tr.stage(0) == 1
     assert tr.stage(5) == 1
     assert tr.stage(6) == 2
@@ -244,6 +245,8 @@ def test_load_rejects_mismatched_particle_counts(tmp_path):
     pio.write_checkpoint(bad, config, iteration, arrays, scalars)
     with pytest.raises(ValueError, match=r"19 particle ids but 20 rows in cloud\.mu"):
         Trainer.from_checkpoint(bad, data)
+    with pytest.raises(ValueError, match=r"19 particle ids but 20 rows in cloud\.mu"):
+        load_model(bad)
 
 
 def test_seeded_reruns_are_identical(tmp_path):
