@@ -24,6 +24,7 @@ __all__ = [
     "coord_jacobian",
     "accumulate_grad",
     "record",
+    "scatter_add",
 ]
 
 
@@ -44,12 +45,15 @@ class Tape:
     Use as a context manager. Gradients accumulate into ``.grad`` of leaf
     tensors (parameters/inputs); intermediate node gradients are cleared at
     the end of each backward sweep so the tape can keep recording and be
-    swept again.
+    swept again. With ``keep_graph=False`` the tape still checks every value
+    but records nothing: its outputs are detached and no operation keeps
+    backward state, which suits forward-only work such as evaluation.
     """
 
-    def __init__(self, check_finite: bool = True):
+    def __init__(self, check_finite: bool = True, keep_graph: bool = True):
         self.nodes: list[Tensor] = []
         self.check_finite = check_finite
+        self.keep_graph = keep_graph
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -203,7 +207,7 @@ def record(out_data: np.ndarray, parents, vjp, op: str) -> Tensor:
     """
     tape = active_tape()
     parents = tuple(parents)
-    needs = tape is not None and any(p.requires_grad for p in parents)
+    needs = tape is not None and tape.keep_graph and any(p.requires_grad for p in parents)
     out = Tensor(out_data, requires_grad=needs, op=op)
     if tape is not None:
         if tape.check_finite and not np.all(np.isfinite(out.data)):
@@ -477,26 +481,56 @@ def swapaxes(a, ax1: int, ax2: int) -> Tensor:
     return record(np.swapaxes(a.data, ax1, ax2), (a,), vjp, "swapaxes")
 
 
+def scatter_add(idx, vals, shape) -> np.ndarray:
+    """Zeros of ``shape`` with ``vals`` added at rows ``idx`` along axis 0.
+
+    ``vals`` has shape ``idx.shape + shape[1:]`` and every index lies in
+    [0, shape[0]). Contributions to a repeated row are added one at a time,
+    starting from zero, in the C order of ``idx``, so the result equals bit
+    for bit the sequential loop ``out[idx.flat[i]] += vals_rows[i]``. Each
+    trailing column is one ``np.bincount``; it reads fastest when
+    ``vals[..., j]`` is contiguous.
+    """
+    flat = np.asarray(idx, dtype=np.intp).reshape(-1)
+    vals = np.asarray(vals, dtype=np.float64)
+    out = np.empty(shape)
+    for col in np.ndindex(*shape[1:]):
+        out[(slice(None), *col)] = np.bincount(flat, weights=vals[(..., *col)].reshape(-1), minlength=shape[0])
+    return out
+
+
+def _is_basic_index(key) -> bool:
+    """True when ``key`` selects by ints, slices, ``...`` and ``None`` only
+    (numpy's basic indexing: every element is selected at most once)."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, (bool, np.bool_)))
+               for k in parts)
+
+
 def getitem(a, key) -> Tensor:
     a = _as_tensor(a)
 
     def vjp(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, key, g)
+        if _is_basic_index(key):
+            buf = np.zeros_like(a.data)
+            buf[key] += g
+        else:
+            size = a.data.size
+            pos = np.arange(size).reshape(a.data.shape)[key]  # flat source of each element
+            buf = scatter_add(pos, g, (size,)).reshape(a.data.shape)
         accumulate_grad(a, buf)
 
     return record(a.data[key], (a,), vjp, "getitem")
 
 
 def take_rows(a, idx) -> Tensor:
-    """Gather rows along axis 0 with an integer index array."""
+    """Gather rows along axis 0 with a non-negative integer index array."""
     a = _as_tensor(a)
     idx = np.asarray(idx)
 
     def vjp(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
-        accumulate_grad(a, buf)
+        accumulate_grad(a, scatter_add(idx, g, a.data.shape))
 
     return record(a.data[idx], (a,), vjp, "take_rows")
 

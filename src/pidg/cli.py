@@ -8,6 +8,7 @@ reports every problem at once.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -68,11 +69,19 @@ def cmd_train(args) -> int:
         return 2
     data = load_scene(config.scene_dir)
     if args.resume:
+        # the run continues with the checkpoint's config; only the paths come from here
         trainer = Trainer.from_checkpoint(args.resume, data)
+        for flag, name, value in (("--seed", "seed", args.seed), ("--iters", "iterations", args.iters),
+                                  ("--ablate", "ablate", args.ablate)):
+            if value is not None:
+                print(f"note: {flag} {value} ignored on resume; the checkpoint sets "
+                      f"{name}={getattr(trainer.config, name)!r}", file=sys.stderr)
+        run_config = dataclasses.replace(trainer.config, scene_dir=config.scene_dir, out_dir=config.out_dir)
     else:
         trainer = Trainer(config, data)
+        run_config = config
     out = pio.ensure_dir(config.out_dir)
-    config.save_json(out / "config.json")
+    run_config.save_json(out / "config.json")
     try:
         trainer.run(out, on_step=_progress(trainer))
     except TrainingAborted as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, accumulate_grad, parameter, record
+from .autodiff import Tensor, accumulate_grad, parameter, record, scatter_add
 
 PRIMES = (1, 2654435761, 805459861)
 _M32 = np.int64(0xFFFFFFFF)
@@ -53,13 +53,20 @@ def geometric_levels(base: int, top: int, count: int) -> list[int]:
     return out
 
 
-def _corner_bits_3d():
-    # bit 0 -> x high corner, bit 1 -> y, bit 2 -> z
-    return [(c & 1, (c >> 1) & 1, (c >> 2) & 1) for c in range(8)]
+# corner c of a cell: bit 0 -> x (or u) high corner, bit 1 -> y (or v), bit 2 -> z
+_CORNER = np.arange(8)
+_BX, _BY, _BZ = _CORNER & 1, (_CORNER >> 1) & 1, (_CORNER >> 2) & 1
+# sign of each corner weight's slope along x, y, z, as (corners, 1) columns
+_SX, _SY, _SZ = (2.0 * b[:, None] - 1.0 for b in (_BX, _BY, _BZ))
+_BU, _BV, _SU, _SV = _BX[:4], _BY[:4], _SX[:4], _SY[:4]
 
 
-_CORNERS3 = _corner_bits_3d()
-_CORNERS2 = [(0, 0), (1, 0), (0, 1), (1, 1)]
+def _add_corners(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Add (corners, ...) terms into ``acc`` one corner at a time, in corner
+    order (the order the per-corner loops summed in), and return ``acc``."""
+    for term in terms:
+        acc += term
+    return acc
 
 
 def _split_cells(p: np.ndarray, n: int):
@@ -129,13 +136,9 @@ class MultiResHashGrid3D:
             wx = np.stack([1.0 - fx, fx])
             wy = np.stack([1.0 - fy, fy])
             wz = np.stack([1.0 - fz, fz])
-            idx = np.empty((8, n_pts), dtype=np.int64)
-            for c, (bx, by, bz) in enumerate(_CORNERS3):
-                idx[c] = self._vertex_index(l, cx + bx, cy + by, cz + bz)
-            entries = self.tables[l].data[idx]  # (8, N, F)
-            w = np.empty((8, n_pts))
-            for c, (bx, by, bz) in enumerate(_CORNERS3):
-                w[c] = wx[bx] * wy[by] * wz[bz]
+            idx = self._vertex_index(l, cx + _BX[:, None], cy + _BY[:, None], cz + _BZ[:, None])  # (8, N)
+            entries = np.take(self.tables[l].data, idx, axis=0)  # (8, N, F)
+            w = wx[_BX] * wy[_BY] * wz[_BZ]
             out[:, l * fdim:(l + 1) * fdim] = np.einsum("cn,cnf->nf", w, entries)
             saved.append((idx, entries, wx, wy, wz))
 
@@ -144,27 +147,19 @@ class MultiResHashGrid3D:
         def vjp(g):
             for l, (nx, ny, nz) in enumerate(grid.level_res):
                 idx, entries, wx, wy, wz = saved[l]
+                cwx, cwy, cwz = wx[_BX], wy[_BY], wz[_BZ]  # (8, N) per-corner factors
                 gl = g[:, l * fdim:(l + 1) * fdim]
                 table = grid.tables[l]
                 if table.requires_grad:
-                    tgrad = np.zeros_like(table.data)
-                    for c, (bx, by, bz) in enumerate(_CORNERS3):
-                        np.add.at(tgrad, idx[c], (wx[bx] * wy[by] * wz[bz])[:, None] * gl)
-                    accumulate_grad(table, tgrad)
+                    # (F, 8, N) products, so each feature column scatters from contiguous memory
+                    vals = cwx * cwy * cwz * np.ascontiguousarray(gl.T)[:, None, :]
+                    accumulate_grad(table, scatter_add(idx, np.moveaxis(vals, 0, -1), table.data.shape))
                 if coords.requires_grad:
                     dot = np.einsum("cnf,nf->cn", entries, gl)  # (8, N)
-                    gx = np.zeros(n_pts)
-                    gy = np.zeros(n_pts)
-                    gz = np.zeros(n_pts)
-                    for c, (bx, by, bz) in enumerate(_CORNERS3):
-                        sx = 1.0 if bx else -1.0
-                        sy = 1.0 if by else -1.0
-                        sz = 1.0 if bz else -1.0
-                        gx += dot[c] * sx * wy[by] * wz[bz]
-                        gy += dot[c] * sy * wx[bx] * wz[bz]
-                        gz += dot[c] * sz * wx[bx] * wy[by]
-                    gc = np.stack([gx * (nx - 1), gy * (ny - 1), gz * (nz - 1)], axis=1)
-                    accumulate_grad(coords, gc)
+                    gsum = np.zeros((3, n_pts))
+                    for a, (sign, w1, w2) in enumerate(((_SX, cwy, cwz), (_SY, cwx, cwz), (_SZ, cwx, cwy))):
+                        _add_corners(gsum[a], dot * sign * w1 * w2)
+                    accumulate_grad(coords, gsum.T * np.array([nx - 1, ny - 1, nz - 1], dtype=np.float64))
 
         return record(out, (coords, *self.tables), vjp, "hashgrid3d")
 
@@ -200,26 +195,18 @@ class PlaneGrid2D:
         return hash_vertices_2d(iu, iv, self.table_size)
 
     def _forward(self, p: np.ndarray):
-        n_pts = p.shape[0]
-        val = np.zeros(n_pts)
-        du = np.zeros(n_pts)
-        dv = np.zeros(n_pts)
+        val, du, dv = np.zeros(p.shape[0]), np.zeros(p.shape[0]), np.zeros(p.shape[0])
         saved = []
         for l, (nu, nv) in enumerate(self.level_res):
             cu, fu = _split_cells(p[:, 0], nu)
             cv, fv = _split_cells(p[:, 1], nv)
             wu = np.stack([1.0 - fu, fu])
             wv = np.stack([1.0 - fv, fv])
-            idx = np.empty((4, n_pts), dtype=np.int64)
-            for c, (bu, bv) in enumerate(_CORNERS2):
-                idx[c] = self._vertex_index(l, cu + bu, cv + bv)
-            entries = self.tables[l].data[idx]  # (4, N)
-            for c, (bu, bv) in enumerate(_CORNERS2):
-                su = 1.0 if bu else -1.0
-                sv = 1.0 if bv else -1.0
-                val += entries[c] * wu[bu] * wv[bv]
-                du += entries[c] * su * wv[bv] * (nu - 1)
-                dv += entries[c] * sv * wu[bu] * (nv - 1)
+            idx = self._vertex_index(l, cu + _BU[:, None], cv + _BV[:, None])  # (4, N)
+            entries = np.take(self.tables[l].data, idx)  # (4, N)
+            _add_corners(val, entries * wu[_BU] * wv[_BV])
+            _add_corners(du, entries * _SU * wv[_BV] * (nu - 1))
+            _add_corners(dv, entries * _SV * wu[_BU] * (nv - 1))
             saved.append((idx, entries, wu, wv))
         return val, du, dv, saved
 
@@ -243,18 +230,10 @@ class PlaneGrid2D:
                 idx, entries, wu, wv = saved[l]
                 table = plane.tables[l]
                 if table.requires_grad:
-                    tgrad = np.zeros_like(table.data)
-                    for c, (bu, bv) in enumerate(_CORNERS2):
-                        np.add.at(tgrad, idx[c], wu[bu] * wv[bv] * g)
-                    accumulate_grad(table, tgrad)
+                    accumulate_grad(table, scatter_add(idx, wu[_BU] * wv[_BV] * g, table.data.shape))
                 if coords.requires_grad:
-                    gu = np.zeros(n_pts)
-                    gv = np.zeros(n_pts)
-                    for c, (bu, bv) in enumerate(_CORNERS2):
-                        su = 1.0 if bu else -1.0
-                        sv = 1.0 if bv else -1.0
-                        gu += entries[c] * su * wv[bv]
-                        gv += entries[c] * sv * wu[bu]
+                    gu = _add_corners(np.zeros(n_pts), entries * _SU * wv[_BV])
+                    gv = _add_corners(np.zeros(n_pts), entries * _SV * wu[_BU])
                     accumulate_grad(coords, np.stack([gu * (nu - 1) * g, gv * (nv - 1) * g], axis=1))
 
         out_val = record(val, (coords, *self.tables), vjp_val, "plane2d")
@@ -269,20 +248,11 @@ class PlaneGrid2D:
                     scale = (nu - 1) if axis == 0 else (nv - 1)
                     table = plane.tables[l]
                     if table.requires_grad:
-                        tgrad = np.zeros_like(table.data)
-                        for c, (bu, bv) in enumerate(_CORNERS2):
-                            su = 1.0 if bu else -1.0
-                            sv = 1.0 if bv else -1.0
-                            coeff = su * wv[bv] if axis == 0 else sv * wu[bu]
-                            np.add.at(tgrad, idx[c], coeff * scale * g)
-                        accumulate_grad(table, tgrad)
+                        coeff = _SU * wv[_BV] if axis == 0 else _SV * wu[_BU]
+                        accumulate_grad(table, scatter_add(idx, coeff * scale * g, table.data.shape))
                     if coords.requires_grad:
                         # cross slope: d(df/du)/dv and d(df/dv)/du; own-axis term is 0
-                        cross = np.zeros(n_pts)
-                        for c, (bu, bv) in enumerate(_CORNERS2):
-                            su = 1.0 if bu else -1.0
-                            sv = 1.0 if bv else -1.0
-                            cross += entries[c] * su * sv
+                        cross = _add_corners(np.zeros(n_pts), entries * _SU * _SV)
                         cross *= (nu - 1) * (nv - 1) * g
                         gc = np.zeros((n_pts, 2))
                         gc[:, 1 - axis] = cross

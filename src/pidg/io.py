@@ -90,13 +90,14 @@ def write_flow(path, field: FlowField) -> None:
 
 
 def read_flow(path) -> FlowField:
+    """Raises ``ValueError`` naming the file, and the part that is short, when
+    the file is not a flow file, is truncated or has bytes after the mask."""
     with open(path, "rb") as f:
-        if f.read(8) != FLOW_MAGIC:
-            raise ValueError("not a flow file")
-        w, h = struct.unpack("<II", f.read(8))
-        vec = np.frombuffer(f.read(w * h * 8), dtype="<f4").reshape(h, w, 2)
-        valid = np.frombuffer(f.read(w * h), dtype=np.uint8).reshape(h, w)
-    return FlowField(vec.astype(np.float64), valid > 0)
+        w, h = struct.unpack("<II", _read_header(f, FLOW_MAGIC, 16, path, "flow file")[8:])
+        vec = np.frombuffer(_read_exact(f, w * h * 8, path, "flow file", "the vectors"), dtype="<f4")
+        valid = np.frombuffer(_read_exact(f, w * h, path, "flow file", "the valid mask"), dtype=np.uint8)
+        _reject_trailing(f, path, "the valid mask")
+    return FlowField(vec.reshape(h, w, 2).astype(np.float64), valid.reshape(h, w) > 0)
 
 
 def write_depth(path, depth: np.ndarray) -> None:
@@ -110,11 +111,13 @@ def write_depth(path, depth: np.ndarray) -> None:
 
 
 def read_depth(path) -> np.ndarray:
+    """Raises ``ValueError`` naming the file, and the part that is short, when
+    the file is not a depth file, is truncated or has bytes after the grid."""
     with open(path, "rb") as f:
-        if f.read(8) != DEPTH_MAGIC:
-            raise ValueError("not a depth file")
-        w, h = struct.unpack("<II", f.read(8))
-        return np.frombuffer(f.read(w * h * 8), dtype="<f8").reshape(h, w).copy()
+        w, h = struct.unpack("<II", _read_header(f, DEPTH_MAGIC, 16, path, "depth file")[8:])
+        depth = np.frombuffer(_read_exact(f, w * h * 8, path, "depth file", "the depth"), dtype="<f8")
+        _reject_trailing(f, path, "the depth")
+    return depth.reshape(h, w).copy()
 
 
 def write_cameras(path, cameras) -> None:
@@ -170,11 +173,26 @@ def write_checkpoint(path, config: dict, iteration: int, arrays: dict, scalars: 
         raise
 
 
-def _read_exact(f, size: int, path, part: str) -> bytes:
+def _read_header(f, magic: bytes, size: int, path, kind: str) -> bytes:
+    """The first ``size`` bytes of a file that must start with ``magic``."""
+    header = f.read(size)
+    if not (header.startswith(magic) or magic.startswith(header)):
+        raise ValueError(f"{path}: not a {kind}")
+    if len(header) < size:
+        raise ValueError(f"{path}: {kind} truncated in the header ({len(header)} of {size} bytes)")
+    return header
+
+
+def _read_exact(f, size: int, path, kind: str, part: str) -> bytes:
     left = os.fstat(f.fileno()).st_size - f.tell()  # checked first: a corrupt size can be huge
     if size > left:
-        raise ValueError(f"{path}: checkpoint truncated in {part} ({left} of {size} bytes)")
+        raise ValueError(f"{path}: {kind} truncated in {part} ({left} of {size} bytes)")
     return f.read(size)
+
+
+def _reject_trailing(f, path, last: str) -> None:
+    if f.read(1):
+        raise ValueError(f"{path}: trailing bytes after {last}")
 
 
 def read_checkpoint(path):
@@ -185,17 +203,13 @@ def read_checkpoint(path):
     array.
     """
     with open(path, "rb") as f:
-        header = f.read(20)
-        if not (header.startswith(CKPT_MAGIC) or CKPT_MAGIC.startswith(header)):
-            raise ValueError(f"{path}: not a checkpoint file")
-        if len(header) < 20:
-            raise ValueError(f"{path}: checkpoint truncated in the header ({len(header)} of 20 bytes)")
+        header = _read_header(f, CKPT_MAGIC, 20, path, "checkpoint")
         version, mlen = struct.unpack("<IQ", header[8:])
         if version != CKPT_VERSION:
             raise ValueError(f"{path}: checkpoint format version {version} not supported "
                              f"(expected {CKPT_VERSION})")
         try:
-            manifest = json.loads(_read_exact(f, mlen, path, "the manifest").decode())
+            manifest = json.loads(_read_exact(f, mlen, path, "checkpoint", "the manifest").decode())
             entries = [(e["name"], e["dtype"], tuple(e["shape"])) for e in manifest["arrays"]]
             config, iteration, scalars = manifest["config"], manifest["iteration"], manifest["scalars"]
         except (KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -205,11 +219,10 @@ def read_checkpoint(path):
             if code not in _DTYPES or not all(isinstance(n, int) and n >= 0 for n in shape):
                 raise ValueError(f"{path}: array {name!r} has dtype {code!r} and shape {list(shape)}")
             dt = np.dtype(_DTYPES[code])
-            raw = _read_exact(f, math.prod(shape) * dt.itemsize, path, f"array {name!r}")
+            raw = _read_exact(f, math.prod(shape) * dt.itemsize, path, "checkpoint", f"array {name!r}")
             arr = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
             arrays[name] = arr.astype(bool) if code == "u1" else arr
-        if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after the last checkpoint array")
+        _reject_trailing(f, path, "the last checkpoint array")
     return config, iteration, arrays, scalars
 
 

@@ -307,7 +307,8 @@ class Trainer:
     # -- evaluation ------------------------------------------------------------
 
     def render_frame(self, f: int):
-        with ad.Tape():
+        """Forward-only render of training view f; it holds no backward state."""
+        with ad.Tape(keep_graph=False):
             return render(self.cloud, self.data.cameras[f], self.data.times[f],
                           deform_field=self.deform, normalizer=self.normalizer,
                           settings=self.settings, respect_dynamic_mask=self.stage() == 2)

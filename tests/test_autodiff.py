@@ -260,3 +260,38 @@ def test_coord_jacobian_matches_analytic():
 
     with pytest.raises(ValueError):
         ad.coord_jacobian(field, np.array([0.5, 0.5, 1.5, 0.5]))  # outside the cube
+
+
+@pytest.mark.parametrize("trailing", [(), (3,), (2, 3)])
+def test_scatter_add_matches_add_at_bit_for_bit(trailing):
+    rng = np.random.default_rng(12)
+    rows = 6
+    idx = rng.integers(0, rows - 2, size=(4, 50))  # heavy repeats; the last two rows get nothing
+    vals = rng.normal(size=idx.shape + trailing) * 10.0 ** rng.integers(-8, 9, size=idx.shape + trailing)
+    vals[idx == 0] = -0.0  # a row whose every contribution is -0.0
+    ref = np.zeros((rows,) + trailing)
+    np.add.at(ref, idx, vals)
+    got = ad.scatter_add(idx, vals, (rows,) + trailing)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("key", [
+    (slice(None), [1, 1, 3]),
+    (slice(None), (0, 2, 3)),
+    (np.array([0, 0, 4, 0]),),
+    np.array([True, False, True, True, False]),
+    (slice(1, 4), 2),
+    (Ellipsis, slice(0, 2)),
+])
+def test_getitem_gradient_matches_add_at_bit_for_bit(key):
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(5, 4))
+    g = rng.normal(size=a[key].shape) * 1e8
+    g.reshape(-1)[::3] = rng.normal(size=g.reshape(-1)[::3].shape)
+    with ad.Tape() as tape:
+        t = ad.parameter(a.copy())
+        tape.backward(ad.sum_(ad.mul(ad.getitem(t, key), ad.constant(g))))
+    ref = np.zeros_like(a)
+    np.add.at(ref, key, g)
+    assert t.grad.tobytes() == ref.tobytes()

@@ -269,3 +269,18 @@ def test_train_resume_flag(workspace, tmp_path):
                  "--scene", str(workspace["scene"]), "--out", str(out),
                  "--resume", str(workspace["ckpt"])]) == 0
     assert (out / "final.pidg").exists()
+
+
+def test_train_resume_writes_checkpoint_config_and_notes_ignored_flags(workspace, tmp_path, capsys):
+    out = tmp_path / "resumed"
+    assert main(["train", "--config", str(workspace["config"]), "--scene", str(workspace["scene"]),
+                 "--out", str(out), "--resume", str(workspace["ckpt"]),
+                 "--iters", "40", "--seed", "9"]) == 0
+    written = json.loads((out / "config.json").read_text())
+    expected = small_run_config()  # the run that wrote the checkpoint
+    assert written["iterations"] == expected.iterations == 3
+    assert written["seed"] == expected.seed
+    assert written["out_dir"] == str(out) and written["scene_dir"] == str(workspace["scene"])
+    notes = [line for line in capsys.readouterr().err.splitlines() if "ignored on resume" in line]
+    assert notes == ["note: --seed 9 ignored on resume; the checkpoint sets seed=42",
+                     "note: --iters 40 ignored on resume; the checkpoint sets iterations=3"]

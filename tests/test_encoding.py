@@ -202,3 +202,119 @@ def test_grid_entry_count_reports_table_rows():
     rng = np.random.default_rng(40)
     grid = MultiResHashGrid3D([(4, 4, 4), (32, 32, 32)], table_size=1000, feature_dim=2, rng=rng)
     assert grid.entry_count() == 64 + 1000
+
+
+# -- the per-corner loops the vectorised grids replaced, kept as oracles ------------
+
+def _cells(p, n):
+    scaled = p * (n - 1)
+    c0 = np.clip(np.floor(scaled).astype(np.int64), 0, n - 2)
+    return c0, scaled - c0
+
+
+def _grid_oracle(grid, p, g):
+    """Per-corner forward, table gradients (np.add.at) and coordinate gradient."""
+    n, fdim = p.shape[0], grid.feature_dim
+    out, tgrads, cgrad = np.empty((n, grid.out_dim)), [], None
+    corners = [(c & 1, (c >> 1) & 1, (c >> 2) & 1) for c in range(8)]
+    for l, (nx, ny, nz) in enumerate(grid.level_res):
+        (cx, fx), (cy, fy), (cz, fz) = _cells(p[:, 0], nx), _cells(p[:, 1], ny), _cells(p[:, 2], nz)
+        wx, wy, wz = np.stack([1.0 - fx, fx]), np.stack([1.0 - fy, fy]), np.stack([1.0 - fz, fz])
+        idx = np.empty((8, n), dtype=np.int64)
+        w = np.empty((8, n))
+        for c, (bx, by, bz) in enumerate(corners):
+            ix, iy, iz = cx + bx, cy + by, cz + bz
+            idx[c] = ix + nx * (iy + ny * iz) if grid.dense[l] else hash_vertices(ix, iy, iz, grid.table_size)
+            w[c] = wx[bx] * wy[by] * wz[bz]
+        entries = grid.tables[l].data[idx]
+        out[:, l * fdim:(l + 1) * fdim] = np.einsum("cn,cnf->nf", w, entries)
+        gl = g[:, l * fdim:(l + 1) * fdim]
+        tgrad = np.zeros_like(grid.tables[l].data)
+        for c, (bx, by, bz) in enumerate(corners):
+            np.add.at(tgrad, idx[c], (wx[bx] * wy[by] * wz[bz])[:, None] * gl)
+        tgrads.append(tgrad)
+        dot = np.einsum("cnf,nf->cn", entries, gl)
+        gx, gy, gz = np.zeros(n), np.zeros(n), np.zeros(n)
+        for c, (bx, by, bz) in enumerate(corners):
+            sx, sy, sz = (1.0 if b else -1.0 for b in (bx, by, bz))
+            gx += dot[c] * sx * wy[by] * wz[bz]
+            gy += dot[c] * sy * wx[bx] * wz[bz]
+            gz += dot[c] * sz * wx[bx] * wy[by]
+        gc = np.stack([gx * (nx - 1), gy * (ny - 1), gz * (nz - 1)], axis=1)
+        cgrad = gc.copy() if cgrad is None else cgrad + gc
+    return out, tgrads, cgrad
+
+
+def _plane_oracle(plane, p, g, output):
+    """Per-corner (value, d/du, d/dv) and the table gradients of one output."""
+    n = p.shape[0]
+    val, du, dv = np.zeros(n), np.zeros(n), np.zeros(n)
+    tgrads = []
+    for l, (nu, nv) in enumerate(plane.level_res):
+        (cu, fu), (cv, fv) = _cells(p[:, 0], nu), _cells(p[:, 1], nv)
+        wu, wv = np.stack([1.0 - fu, fu]), np.stack([1.0 - fv, fv])
+        tgrad = np.zeros_like(plane.tables[l].data)
+        for bu, bv in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            iu, iv = cu + bu, cv + bv
+            idx = iu + nu * iv if plane.dense[l] else hash_vertices_2d(iu, iv, plane.table_size)
+            e = plane.tables[l].data[idx]
+            su, sv = (1.0 if bu else -1.0), (1.0 if bv else -1.0)
+            val += e * wu[bu] * wv[bv]
+            du += e * su * wv[bv] * (nu - 1)
+            dv += e * sv * wu[bu] * (nv - 1)
+            if output == 0:
+                np.add.at(tgrad, idx, wu[bu] * wv[bv] * g)
+            elif output == 1:
+                np.add.at(tgrad, idx, su * wv[bv] * (nu - 1) * g)
+            else:
+                np.add.at(tgrad, idx, sv * wu[bu] * (nv - 1) * g)
+        tgrads.append(tgrad)
+    return (val, du, dv), tgrads
+
+
+def _collides(keys, slots):
+    """True when two different vertices share a table slot."""
+    return len(np.unique(keys)) > len(np.unique(slots))
+
+
+def test_grid_matches_per_corner_oracle_bit_for_bit():
+    rng = np.random.default_rng(40)
+    grid = MultiResHashGrid3D([(3, 3, 3), (40, 40, 40)], table_size=64, feature_dim=2, rng=rng,
+                              init_scale=0.5)
+    assert grid.dense == [True, False]
+    pts = rng.uniform(0.0, 1.0, (400, 3))
+    pts[:5] = [[0, 0, 0], [1, 1, 1], [0.5, 0.5, 0.5], [1, 0, 1], [0.25, 1, 0]]  # cell edges
+    cx, cy, cz = (_cells(pts[:, k], 40)[0] for k in range(3))
+    assert _collides(cx + 40 * (cy + 40 * cz), hash_vertices(cx, cy, cz, 64))
+    g = rng.normal(size=(400, grid.out_dim))
+    g[::7] = -0.0
+    with ad.Tape() as tape:
+        c = ad.parameter(pts.copy())
+        out = grid.interpolate(c)
+        tape.backward(ad.sum_(ad.mul(out, ad.constant(g))))
+    ref_out, ref_tgrads, ref_cgrad = _grid_oracle(grid, pts, g)
+    assert out.data.tobytes() == ref_out.tobytes()
+    for table, ref in zip(grid.tables, ref_tgrads):
+        assert table.grad.tobytes() == ref.tobytes()
+    assert c.grad.tobytes() == ref_cgrad.tobytes()
+
+
+@pytest.mark.parametrize("output", [0, 1, 2])
+def test_plane_matches_per_corner_oracle_bit_for_bit(output):
+    rng = np.random.default_rng(41)
+    plane = PlaneGrid2D([(4, 4), (64, 64)], table_size=32, rng=rng, init_scale=0.5)
+    assert plane.dense == [True, False]
+    pts = rng.uniform(0.0, 1.0, (300, 2))
+    pts[:3] = [[0, 0], [1, 1], [0.5, 1]]
+    cu, cv = _cells(pts[:, 0], 64)[0], _cells(pts[:, 1], 64)[0]
+    assert _collides(cu + 64 * cv, hash_vertices_2d(cu, cv, 32))
+    g = rng.normal(size=300)
+    g[::5] = -0.0
+    with ad.Tape() as tape:
+        outs = plane.interpolate(ad.constant(pts), with_partials=True)
+        tape.backward(ad.sum_(ad.mul(outs[output], ad.constant(g))))
+    ref_outs, ref_tgrads = _plane_oracle(plane, pts, g, output)
+    for got, ref in zip(outs, ref_outs):
+        assert got.data.tobytes() == ref.tobytes()
+    for table, ref in zip(plane.tables, ref_tgrads):
+        assert table.grad.tobytes() == ref.tobytes()

@@ -212,6 +212,25 @@ def test_checkpoint_truncation_names_file_and_part(tmp_path):
             read_checkpoint(p)
 
 
+
+def test_flow_and_depth_truncation_names_file_and_part(tmp_path):
+    flow, depth = tmp_path / "f.flo", tmp_path / "d.dep"
+    write_flow(flow, FlowField(np.ones((3, 4, 2)), np.ones((3, 4), dtype=bool)))
+    write_depth(depth, np.ones((3, 4)))
+    cases = ((flow, read_flow, "flow file", ((12, "the header"), (16 + 40, "the vectors"),
+                                              (16 + 96 + 5, "the valid mask"))),
+             (depth, read_depth, "depth file", ((0, "the header"), (20, "the depth"),
+                                                (16 + 95, "the depth"))))
+    for p, read, kind, cuts in cases:
+        raw = p.read_bytes()
+        for cut, part in cuts:
+            p.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match=f"{p.name}: {kind} truncated in {part}"):
+                read(p)
+        p.write_bytes(raw + b"\0\0\0")
+        with pytest.raises(ValueError, match=f"{p.name}: trailing bytes"):
+            read(p)
+
 class _DiskFull:
     """A file that accepts ``budget`` bytes, then fails as a full disk does."""
 

@@ -282,6 +282,15 @@ def test_load_model_renders_identically(tmp_path):
     assert np.array_equal(got, want)
 
 
+def test_eval_render_holds_no_backward_state():
+    trainer = Trainer(tiny_config(), tiny_data())
+    out = trainer.render_frame(1)
+    assert out.raw._vjp is None and out.raw._parents == ()
+    assert all(t._vjp is None for t in (out.means2d, out.cov2d, out.depths))
+    trainer.cloud.mu.data[0] = np.nan  # the render still runs under a finite-checking tape
+    with pytest.raises(ad.NonFiniteError):
+        trainer.render_frame(1)
+
 def test_mean_residual_leaves_training_rng_alone(tmp_path):
     data = tiny_data()
     cfg = tiny_config(iterations=6, log_interval=1)
