@@ -21,7 +21,6 @@ __all__ = [
     "active_tape",
     "constant",
     "parameter",
-    "coord_jacobian",
     "accumulate_grad",
     "record",
     "scatter_add",
@@ -50,9 +49,8 @@ class Tape:
     backward state, which suits forward-only work such as evaluation.
     """
 
-    def __init__(self, check_finite: bool = True, keep_graph: bool = True):
+    def __init__(self, keep_graph: bool = True):
         self.nodes: list[Tensor] = []
-        self.check_finite = check_finite
         self.keep_graph = keep_graph
 
     def __enter__(self) -> "Tape":
@@ -210,7 +208,7 @@ def record(out_data: np.ndarray, parents, vjp, op: str) -> Tensor:
     needs = tape is not None and tape.keep_graph and any(p.requires_grad for p in parents)
     out = Tensor(out_data, requires_grad=needs, op=op)
     if tape is not None:
-        if tape.check_finite and not np.all(np.isfinite(out.data)):
+        if not np.all(np.isfinite(out.data)):
             raise NonFiniteError(
                 f"non-finite value in op '{op}' (node {len(tape.nodes)}; "
                 f"parents: {[p.op for p in parents]})"
@@ -292,53 +290,6 @@ def exp(a) -> Tensor:
         accumulate_grad(a, g * out_data)
 
     return record(out_data, (a,), vjp, "exp")
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def vjp(g):
-        accumulate_grad(a, g / a.data)
-
-    return record(np.log(a.data), (a,), vjp, "log")
-
-
-def sqrt(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def vjp(g):
-        accumulate_grad(a, g * 0.5 / out_data)
-
-    return record(out_data, (a,), vjp, "sqrt")
-
-
-def sin(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def vjp(g):
-        accumulate_grad(a, g * np.cos(a.data))
-
-    return record(np.sin(a.data), (a,), vjp, "sin")
-
-
-def cos(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def vjp(g):
-        accumulate_grad(a, -g * np.sin(a.data))
-
-    return record(np.cos(a.data), (a,), vjp, "cos")
-
-
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def vjp(g):
-        accumulate_grad(a, g * (1.0 - out_data * out_data))
-
-    return record(out_data, (a,), vjp, "tanh")
 
 
 def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
@@ -557,33 +508,3 @@ def stack(parts, axis: int = 0) -> Tensor:
             accumulate_grad(p, np.take(g, i, axis=axis))
 
     return record(np.stack([p.data for p in parts], axis=axis), parts, vjp, "stack")
-
-
-# -- coordinate Jacobian -----------------------------------------------------
-
-
-def coord_jacobian(field_fn, point) -> np.ndarray:
-    """Jacobian of a field over (x, y, z, t) at one point, as a (k, 4) matrix.
-
-    ``field_fn`` maps a length-4 Tensor to a length-k Tensor built from
-    differentiable primitives. Implemented as k reverse passes; the contract
-    is the matrix, not the method. The point must lie in [0, 1]^4.
-    """
-    p = np.asarray(point, dtype=np.float64)
-    if p.shape != (4,):
-        raise ValueError("coord_jacobian expects a single (x, y, z, t) point")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("coordinate outside [0,1]^4")
-    leaf = parameter(p)
-    with Tape() as tape:
-        out = field_fn(leaf)
-        if out.data.ndim != 1:
-            out = reshape(out, (-1,))
-        k = out.data.shape[0]
-        rows = np.zeros((k, 4))
-        for i in range(k):
-            leaf.grad = None
-            tape.backward(out[i])
-            if leaf.grad is not None:
-                rows[i] = leaf.grad
-    return rows

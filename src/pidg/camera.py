@@ -26,9 +26,6 @@ class Camera:
         """Camera position in world coordinates."""
         return -self.rot.T @ self.trans
 
-    def intrinsics(self) -> np.ndarray:
-        return np.array([[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]])
-
     def world_to_cam(self, points: np.ndarray) -> np.ndarray:
         return points @ self.rot.T + self.trans
 

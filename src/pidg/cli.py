@@ -71,11 +71,19 @@ def cmd_train(args) -> int:
     if args.resume:
         # the run continues with the checkpoint's config; only the paths come from here
         trainer = Trainer.from_checkpoint(args.resume, data)
+        flagged = {"scene_dir", "out_dir"}
         for flag, name, value in (("--seed", "seed", args.seed), ("--iters", "iterations", args.iters),
                                   ("--ablate", "ablate", args.ablate)):
             if value is not None:
+                flagged.add(name)
                 print(f"note: {flag} {value} ignored on resume; the checkpoint sets "
                       f"{name}={getattr(trainer.config, name)!r}", file=sys.stderr)
+        if args.config:
+            kept = dict(_config_items(trainer.config.to_dict()))
+            for name, value in _config_items(config.to_dict()):
+                if name not in flagged and value != kept[name]:
+                    print(f"note: --config {name}={value!r} ignored on resume; the checkpoint sets "
+                          f"{name}={kept[name]!r}", file=sys.stderr)
         run_config = dataclasses.replace(trainer.config, scene_dir=config.scene_dir, out_dir=config.out_dir)
     else:
         trainer = Trainer(config, data)
@@ -90,6 +98,15 @@ def cmd_train(args) -> int:
     print(f"final mean train-view PSNR: {trainer.mean_psnr():.2f} dB "
           f"({len(trainer.cloud.ids)} particles)")
     return 0
+
+
+def _config_items(d: dict, prefix: str = ""):
+    """(dotted name, value) of every field of a config dict, nested ones flattened."""
+    for name, value in d.items():
+        if isinstance(value, dict):
+            yield from _config_items(value, f"{prefix}{name}.")
+        else:
+            yield prefix + name, value
 
 
 def _progress(trainer):

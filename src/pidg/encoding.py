@@ -7,11 +7,13 @@ node on the tape; its backward rule scatters into the level tables and, when
 the query tensor requires gradients, applies the piecewise-multilinear slope
 to the coordinates.
 
-Vertex indexing: a level with fewer vertices than the table capacity stores
-them densely at index ``ix + nx*(iy + ny*iz)`` (collision-free); larger levels
-hash each integer vertex with the XOR-of-prime-multiplied-coordinates scheme
-``(ix*1 ^ iy*2654435761 ^ iz*805459861) mod table_size`` evaluated in 32-bit
-unsigned arithmetic (every product is truncated to 32 bits before the XOR).
+Vertex indexing (``level_corners``, shared by both flavors): a level with
+fewer vertices than the table capacity stores them densely at index
+``ix + nx*(iy + ny*iz)`` (``iu + nu*iv`` on a plane; collision-free); larger
+levels hash each integer vertex with the XOR-of-prime-multiplied-coordinates
+scheme ``(ix*1 ^ iy*2654435761 ^ iz*805459861) mod table_size`` evaluated in
+32-bit unsigned arithmetic (every product is truncated to 32 bits before the
+XOR); a plane vertex (iu, iv) hashes as (iu, iv, 0).
 """
 
 from __future__ import annotations
@@ -33,13 +35,6 @@ def hash_vertices(ix, iy, iz, table_size: int) -> np.ndarray:
     return (h & _M32) % table_size
 
 
-def hash_vertices_2d(iu, iv, table_size: int) -> np.ndarray:
-    iu = np.asarray(iu, dtype=np.int64)
-    iv = np.asarray(iv, dtype=np.int64)
-    h = ((iu * PRIMES[0]) & _M32) ^ ((iv * PRIMES[1]) & _M32)
-    return (h & _M32) % table_size
-
-
 def geometric_levels(base: int, top: int, count: int) -> list[int]:
     """Per-level vertex counts growing geometrically from base to top (inclusive)."""
     if count == 1:
@@ -53,7 +48,7 @@ def geometric_levels(base: int, top: int, count: int) -> list[int]:
     return out
 
 
-# corner c of a cell: bit 0 -> x (or u) high corner, bit 1 -> y (or v), bit 2 -> z
+# corner c of a cell: bit a of c -> the high vertex along axis a (x or u, y or v, z)
 _CORNER = np.arange(8)
 _BX, _BY, _BZ = _CORNER & 1, (_CORNER >> 1) & 1, (_CORNER >> 2) & 1
 # sign of each corner weight's slope along x, y, z, as (corners, 1) columns
@@ -69,33 +64,74 @@ def _add_corners(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _split_cells(p: np.ndarray, n: int):
-    """Scaled coordinate -> (cell index, fractional offset) for n vertices."""
-    scaled = p * (n - 1)
-    c0 = np.floor(scaled).astype(np.int64)
-    np.clip(c0, 0, n - 2, out=c0)
-    return c0, scaled - c0
+def level_corners(p: np.ndarray, res, dense: bool, table_size: int):
+    """The cells of (N, D) points in [0,1]^D on one level of ``res`` vertices per axis.
+
+    Returns the (2^D, N) table rows of each point's cell corners, in corner
+    order, and each axis's (2, N) low/high interpolation weights.
+    """
+    corners, weights = [], []
+    for a, n in enumerate(res):
+        scaled = p[:, a] * (n - 1)
+        c0 = np.floor(scaled).astype(np.int64)
+        np.clip(c0, 0, n - 2, out=c0)
+        frac = scaled - c0
+        corners.append(c0 + ((_CORNER[:2 ** len(res)] >> a) & 1)[:, None])
+        weights.append(np.stack([1.0 - frac, frac]))
+    if not dense:
+        return hash_vertices(*corners, *[0] * (3 - len(res)), table_size), weights
+    idx = corners[-1]
+    for c, n in zip(corners[-2::-1], res[-2::-1]):
+        idx = c + n * idx
+    return idx, weights
 
 
-class MultiResHashGrid3D:
-    """A stack of 3D feature tables, one per resolution level.
+class _LevelTables:
+    """One table per resolution level, for points in [0,1]^dim.
 
-    ``level_res`` is a list of (nx, ny, nz) vertex counts. Levels whose vertex
-    product fits in ``table_size`` are dense; the rest share hashed slots.
+    ``level_res`` lists each level's vertex counts per axis. Levels whose
+    vertex product fits in ``table_size`` are dense; the rest share hashed
+    slots. Each table row holds an ``entry_shape`` entry.
     """
 
-    def __init__(self, level_res, table_size: int, feature_dim: int, rng, init_scale: float = 1e-4):
+    dim = 0
+
+    def __init__(self, level_res, table_size: int, entry_shape: tuple, rng, init_scale: float):
         self.table_size = int(table_size)
-        self.feature_dim = int(feature_dim)
         self.level_res = [tuple(int(r) for r in res) for res in level_res]
         for res in self.level_res:
             if min(res) < 2:
                 raise ValueError("grid level needs at least 2 vertices per axis")
         self.dense = [int(np.prod(res)) <= self.table_size for res in self.level_res]
         self.tables = [
-            parameter(rng.uniform(-init_scale, init_scale, (min(int(np.prod(res)), self.table_size), feature_dim)))
+            parameter(rng.uniform(-init_scale, init_scale, (min(int(np.prod(res)), self.table_size), *entry_shape)))
             for res in self.level_res
         ]
+
+    def entry_count(self) -> int:
+        return sum(t.data.shape[0] for t in self.tables)
+
+    def _queries(self, coords: Tensor) -> np.ndarray:
+        p = coords.data
+        if p.ndim != 2 or p.shape[1] != self.dim:
+            raise ValueError(f"expected (N, {self.dim}) query coordinates")
+        if p.size and (p.min() < 0.0 or p.max() > 1.0):
+            raise ValueError(f"query coordinate outside [0,1]^{self.dim}")
+        return p
+
+
+class MultiResHashGrid3D(_LevelTables):
+    """A stack of 3D feature tables, one per resolution level.
+
+    ``level_res`` is a list of (nx, ny, nz) vertex counts; each table row is a
+    ``feature_dim`` feature vector.
+    """
+
+    dim = 3
+
+    def __init__(self, level_res, table_size: int, feature_dim: int, rng, init_scale: float = 1e-4):
+        self.feature_dim = int(feature_dim)
+        super().__init__(level_res, table_size, (self.feature_dim,), rng, init_scale)
 
     @property
     def num_levels(self) -> int:
@@ -105,38 +141,19 @@ class MultiResHashGrid3D:
     def out_dim(self) -> int:
         return self.num_levels * self.feature_dim
 
-    def entry_count(self) -> int:
-        return sum(t.data.shape[0] for t in self.tables)
-
-    def _vertex_index(self, level: int, ix, iy, iz):
-        nx, ny, nz = self.level_res[level]
-        if self.dense[level]:
-            return ix + nx * (iy + ny * iz)
-        return hash_vertices(ix, iy, iz, self.table_size)
-
     def interpolate(self, coords: Tensor) -> Tensor:
         """Trilinear interpolation of every level at (N, 3) query points in [0,1]^3.
 
         Returns (N, levels*feature_dim). Differentiable with respect to the
         level tables and, piecewise, the query coordinates.
         """
-        p = coords.data
-        if p.ndim != 2 or p.shape[1] != 3:
-            raise ValueError("expected (N, 3) query coordinates")
-        if p.size and (p.min() < 0.0 or p.max() > 1.0):
-            raise ValueError("query coordinate outside [0,1]^3")
+        p = self._queries(coords)
         n_pts = p.shape[0]
         fdim = self.feature_dim
         out = np.empty((n_pts, self.out_dim))
         saved = []
-        for l, (nx, ny, nz) in enumerate(self.level_res):
-            cx, fx = _split_cells(p[:, 0], nx)
-            cy, fy = _split_cells(p[:, 1], ny)
-            cz, fz = _split_cells(p[:, 2], nz)
-            wx = np.stack([1.0 - fx, fx])
-            wy = np.stack([1.0 - fy, fy])
-            wz = np.stack([1.0 - fz, fz])
-            idx = self._vertex_index(l, cx + _BX[:, None], cy + _BY[:, None], cz + _BZ[:, None])  # (8, N)
+        for l, res in enumerate(self.level_res):
+            idx, (wx, wy, wz) = level_corners(p, res, self.dense[l], self.table_size)  # idx: (8, N)
             entries = np.take(self.tables[l].data, idx, axis=0)  # (8, N, F)
             w = wx[_BX] * wy[_BY] * wz[_BZ]
             out[:, l * fdim:(l + 1) * fdim] = np.einsum("cn,cnf->nf", w, entries)
@@ -164,7 +181,7 @@ class MultiResHashGrid3D:
         return record(out, (coords, *self.tables), vjp, "hashgrid3d")
 
 
-class PlaneGrid2D:
+class PlaneGrid2D(_LevelTables):
     """2D multiresolution grid whose levels are summed into a single scalar.
 
     Each level carries one feature per vertex; ``interpolate`` returns the sum
@@ -173,42 +190,10 @@ class PlaneGrid2D:
     propagates spatial derivatives through the value).
     """
 
+    dim = 2
+
     def __init__(self, level_res, table_size: int, rng, init_scale: float = 1e-4):
-        self.table_size = int(table_size)
-        self.level_res = [tuple(int(r) for r in res) for res in level_res]
-        for res in self.level_res:
-            if min(res) < 2:
-                raise ValueError("plane level needs at least 2 vertices per axis")
-        self.dense = [int(np.prod(res)) <= self.table_size for res in self.level_res]
-        self.tables = [
-            parameter(rng.uniform(-init_scale, init_scale, (min(int(np.prod(res)), self.table_size),)))
-            for res in self.level_res
-        ]
-
-    def entry_count(self) -> int:
-        return sum(t.data.shape[0] for t in self.tables)
-
-    def _vertex_index(self, level: int, iu, iv):
-        nu, nv = self.level_res[level]
-        if self.dense[level]:
-            return iu + nu * iv
-        return hash_vertices_2d(iu, iv, self.table_size)
-
-    def _forward(self, p: np.ndarray):
-        val, du, dv = np.zeros(p.shape[0]), np.zeros(p.shape[0]), np.zeros(p.shape[0])
-        saved = []
-        for l, (nu, nv) in enumerate(self.level_res):
-            cu, fu = _split_cells(p[:, 0], nu)
-            cv, fv = _split_cells(p[:, 1], nv)
-            wu = np.stack([1.0 - fu, fu])
-            wv = np.stack([1.0 - fv, fv])
-            idx = self._vertex_index(l, cu + _BU[:, None], cv + _BV[:, None])  # (4, N)
-            entries = np.take(self.tables[l].data, idx)  # (4, N)
-            _add_corners(val, entries * wu[_BU] * wv[_BV])
-            _add_corners(du, entries * _SU * wv[_BV] * (nu - 1))
-            _add_corners(dv, entries * _SV * wu[_BU] * (nv - 1))
-            saved.append((idx, entries, wu, wv))
-        return val, du, dv, saved
+        super().__init__(level_res, table_size, (), rng, init_scale)
 
     def interpolate(self, coords: Tensor, with_partials: bool = False):
         """Summed bilinear interpolation at (N, 2) points in [0,1]^2.
@@ -216,14 +201,18 @@ class PlaneGrid2D:
         With ``with_partials`` the returned tuple is (value, d/du, d/dv); all
         three are differentiable with respect to the level tables.
         """
-        p = coords.data
-        if p.ndim != 2 or p.shape[1] != 2:
-            raise ValueError("expected (N, 2) query coordinates")
-        if p.size and (p.min() < 0.0 or p.max() > 1.0):
-            raise ValueError("query coordinate outside [0,1]^2")
-        val, du, dv, saved = self._forward(p)
-        plane = self
+        p = self._queries(coords)
         n_pts = p.shape[0]
+        val, du, dv = np.zeros(n_pts), np.zeros(n_pts), np.zeros(n_pts)
+        saved = []
+        for l, (nu, nv) in enumerate(self.level_res):
+            idx, (wu, wv) = level_corners(p, (nu, nv), self.dense[l], self.table_size)  # idx: (4, N)
+            entries = np.take(self.tables[l].data, idx)  # (4, N)
+            _add_corners(val, entries * wu[_BU] * wv[_BV])
+            _add_corners(du, entries * _SU * wv[_BV] * (nu - 1))
+            _add_corners(dv, entries * _SV * wu[_BU] * (nv - 1))
+            saved.append((idx, entries, wu, wv))
+        plane = self
 
         def vjp_val(g):
             for l, (nu, nv) in enumerate(plane.level_res):

@@ -1,7 +1,7 @@
 """Continuous velocity / stress field over normalized space-time.
 
 The field maps a query (x, y, z, t) in [0,1]^4 plus a persistent particle id
-to a velocity vector and a symmetric Cauchy stress. Inputs are featurized as
+to a velocity vector and a symmetric Cauchy stress. Its features are
 
     [ six plane-grid scalars | Fourier time encoding | per-id embedding ]
 
@@ -111,29 +111,24 @@ class MaterialField:
             raise ValueError("query point outside the normalized [0,1]^4 domain")
         return p
 
-    def featurize(self, points: Tensor, ids: np.ndarray) -> Tensor:
-        """Differentiable feature vector (N, feature_dim); ``points`` may require grad."""
-        self._check_points(points.data)
-        hash_feats = [
-            self.planes[name].interpolate(ad.getitem(points, (slice(None), [i, j])))
-            for name, i, j in PLANE_AXES
-        ]
-        t_col = ad.getitem(points, (slice(None), 3))
-        four = []
-        for k in range(self.config.fourier_n):
-            wt = ad.mul(t_col, (2.0**k) * np.pi)
-            four += [ad.sin(wt), ad.cos(wt)]
-        emb = ad.take_rows(self.embedding, np.asarray(ids, dtype=np.int64))
-        cols = ad.stack(hash_feats + four, axis=1)
-        return ad.concatenate([cols, emb], axis=1)
+    def _features(self, p: np.ndarray, ids: np.ndarray, plane_vals) -> Tensor:
+        """Feature rows (N, feature_dim) from the six planes' values at the
+        detached points ``p``, the Fourier time encoding and the id embedding."""
+        return ad.concatenate([ad.stack(plane_vals, axis=1),
+                               ad.constant(fourier_time_features(p[:, 3], self.config.fourier_n)),
+                               ad.take_rows(self.embedding, np.asarray(ids, dtype=np.int64))], axis=1)
 
-    def evaluate(self, points, ids: np.ndarray):
-        """(velocity (N,3), stress (N,6)) at query points (Tensor or ndarray)."""
-        if not isinstance(points, Tensor):
-            points = ad.constant(self._check_points(points))
-        h = ad.relu(self.hidden(self.featurize(points, ids)))
-        out = self.head(h)
+    @staticmethod
+    def _split(out: Tensor):
+        """Head output (N, 9) -> (velocity (N, 3), stress (N, 6))."""
         return ad.getitem(out, (slice(None), slice(0, 3))), ad.getitem(out, (slice(None), slice(3, 9)))
+
+    def evaluate(self, points: np.ndarray, ids: np.ndarray):
+        """(velocity (N,3), stress (N,6)) at detached query points."""
+        p = self._check_points(points)
+        vals = [self.planes[name].interpolate(ad.constant(p[:, (i, j)])) for name, i, j in PLANE_AXES]
+        h = ad.relu(self.hidden(self._features(p, ids, vals)))
+        return self._split(self.head(h))
 
     def evaluate_with_jets(self, points: np.ndarray, ids: np.ndarray):
         """Velocity and stress jets at detached query points.
@@ -145,14 +140,12 @@ class MaterialField:
         reaches all field parameters.
         """
         p = self._check_points(points)
-        ids = np.asarray(ids, dtype=np.int64)
         n_pts = p.shape[0]
         cfg = self.config
 
         vals, tangents = [], {0: [], 1: [], 2: [], 3: []}
         for name, i, j in PLANE_AXES:
-            coords = ad.constant(p[:, (i, j)])
-            val, d_i, d_j = self.planes[name].interpolate(coords, with_partials=True)
+            val, d_i, d_j = self.planes[name].interpolate(ad.constant(p[:, (i, j)]), with_partials=True)
             vals.append(val)
             for axis in range(4):
                 if axis == i:
@@ -161,14 +154,9 @@ class MaterialField:
                     tangents[axis].append(d_j)
                 else:
                     tangents[axis].append(ad.constant(np.zeros(n_pts)))
-        hash_val = ad.stack(vals, axis=1)  # (N, 6)
+        feats = self._features(p, ids, vals)
         hash_tan = {a: ad.stack(tangents[a], axis=1) for a in range(4)}
-
-        four_val = ad.constant(fourier_time_features(p[:, 3], cfg.fourier_n))
         four_dt = ad.constant(fourier_time_tangent(p[:, 3], cfg.fourier_n))
-        emb = ad.take_rows(self.embedding, ids)
-
-        feats = ad.concatenate([hash_val, four_val, emb], axis=1)
         w_hash = ad.getitem(self.hidden.weight, slice(0, 6))  # hash rows of W1
         w_four = ad.getitem(self.hidden.weight, slice(6, 6 + 2 * cfg.fourier_n))
 
@@ -181,11 +169,8 @@ class MaterialField:
         out = self.head(h_act)
         out_tan = {a: ad.matmul(ad.mul(h_tan[a], act_mask), self.head.weight) for a in range(4)}
 
-        def split(t: Tensor):
-            return ad.getitem(t, (slice(None), slice(0, 3))), ad.getitem(t, (slice(None), slice(3, 9)))
-
-        v_val, s_val = split(out)
-        v_tan, s_tan = zip(*(split(out_tan[a]) for a in range(4)))
+        v_val, s_val = self._split(out)
+        v_tan, s_tan = zip(*(self._split(out_tan[a]) for a in range(4)))
         return JetVec(v_val, *v_tan), JetVec(s_val, *s_tan)
 
     def entry_counts(self) -> dict:

@@ -24,7 +24,3 @@ class Linear:
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.add(ad.matmul(x, self.weight), self.bias)
-
-    @property
-    def params(self) -> list[Tensor]:
-        return [self.weight, self.bias]

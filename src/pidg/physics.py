@@ -10,9 +10,9 @@ All derivatives arrive as jets (see :mod:`pidg.jets`); nothing here
 differentiates anything itself, which keeps the residual exact for analytic
 fields and first-order for learned ones.
 
-Constitutive closures (linear elastic, ideal fluid, Newtonian viscous, rigid)
-are provided as plain-numpy oracles: they map kinematic state to the stress a
-material of that family would produce, independent of any learned field.
+Two constitutive closures (ideal fluid, rigid) are provided as plain-numpy
+oracles: they map kinematic state to the stress a material of that family
+would produce, independent of any learned field.
 """
 
 from __future__ import annotations
@@ -50,16 +50,14 @@ def momentum_residual(vel: JetVec, sigma: JetVec, rho: float = 1.0, include_adve
     return ad.stack(rows, axis=1)
 
 
-def cmr_loss(field, points: np.ndarray, ids: np.ndarray, rho: float | None = None,
-             include_advection: bool = True) -> Tensor:
-    """Mean squared residual norm (scalar tensor) over the sample points."""
+def cmr_loss(field, points: np.ndarray, ids: np.ndarray, include_advection: bool = True) -> Tensor:
+    """Mean squared residual norm (scalar tensor) over the sample points, at
+    the field's own density ``field.rho``."""
     points = np.asarray(points, dtype=np.float64)
     if points.shape[0] == 0:
         return ad.constant(0.0)
-    if rho is None:
-        rho = getattr(field, "rho", 1.0)
     vel, sigma = field.evaluate_with_jets(points, ids)
-    r = momentum_residual(vel, sigma, rho=rho, include_advection=include_advection)
+    r = momentum_residual(vel, sigma, rho=field.rho, include_advection=include_advection)
     return ad.mean(ad.sum_(ad.mul(r, r), axis=1))
 
 
@@ -70,7 +68,7 @@ def _id_blocks(ids: np.ndarray, block_size: int):
 
 
 def block_sampled_cmr(field, points: np.ndarray, ids: np.ndarray, block_size: int = 1024,
-                      rho: float | None = None, include_advection: bool = True,
+                      include_advection: bool = True,
                       sample_count: int | None = None, rng=None,
                       backward_scale: float | None = None) -> float | Tensor:
     """CMR loss evaluated block by block over id-contiguous particle groups.
@@ -97,23 +95,19 @@ def block_sampled_cmr(field, points: np.ndarray, ids: np.ndarray, block_size: in
     total = points.shape[0]
     if total == 0:
         return 0.0 if backward_scale is not None else ad.constant(0.0)
-    if rho is None:
-        rho = getattr(field, "rho", 1.0)
-
     blocks = _id_blocks(ids, block_size)
     if backward_scale is None:
         acc = None
         for idx in blocks:
-            part = ad.mul(cmr_loss(field, points[idx], ids[idx], rho=rho,
-                                   include_advection=include_advection), idx.size / total)
+            part = ad.mul(cmr_loss(field, points[idx], ids[idx], include_advection=include_advection),
+                          idx.size / total)
             acc = part if acc is None else ad.add(acc, part)
         return acc
 
     value = 0.0
     for idx in blocks:
         with ad.Tape() as tape:
-            part = cmr_loss(field, points[idx], ids[idx], rho=rho,
-                            include_advection=include_advection)
+            part = cmr_loss(field, points[idx], ids[idx], include_advection=include_advection)
             tape.backward(part, seed=backward_scale * idx.size / total)
         value += float(part.data) * idx.size / total
     return value
@@ -122,21 +116,9 @@ def block_sampled_cmr(field, points: np.ndarray, ids: np.ndarray, block_size: in
 # ---------------------------------------------------------------------------
 # constitutive oracles (plain numpy; used to cross-check learned stresses)
 
-def elastic_stress(strain: np.ndarray, lam: float, mu: float) -> np.ndarray:
-    """Linear elasticity: sigma = lam*tr(e)*I + 2*mu*e for small strain e (3,3)."""
-    e = np.asarray(strain, dtype=np.float64)
-    return lam * np.trace(e) * np.eye(3) + 2.0 * mu * e
-
-
 def ideal_fluid_stress(pressure: float) -> np.ndarray:
     """Ideal fluid: sigma = -p*I."""
     return -float(pressure) * np.eye(3)
-
-
-def viscous_stress(strain_rate: np.ndarray, eta: float, zeta: float = 0.0) -> np.ndarray:
-    """Newtonian fluid: sigma = 2*eta*de + zeta*tr(de)*I for strain rate de."""
-    de = np.asarray(strain_rate, dtype=np.float64)
-    return 2.0 * eta * de + zeta * np.trace(de) * np.eye(3)
 
 
 def rigid_stress(strain: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -152,16 +134,6 @@ def pack_stress(sigma: np.ndarray) -> np.ndarray:
     s = np.asarray(sigma, dtype=np.float64)
     return np.stack([s[..., 0, 0], s[..., 1, 1], s[..., 2, 2],
                      s[..., 0, 1], s[..., 0, 2], s[..., 1, 2]], axis=-1)
-
-
-def unpack_stress(packed: np.ndarray) -> np.ndarray:
-    """Packed (..., 6) -> full symmetric (..., 3, 3)."""
-    p = np.asarray(packed, dtype=np.float64)
-    out = np.empty(p.shape[:-1] + (3, 3))
-    for i in range(3):
-        for j in range(3):
-            out[..., i, j] = p[..., _SIGMA_COLS[i][j]]
-    return out
 
 
 # ---------------------------------------------------------------------------

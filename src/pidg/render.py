@@ -93,10 +93,6 @@ class RenderOutput:
     def image(self) -> Tensor:
         return self.raw[:, :, 0:3]
 
-    @property
-    def depth(self) -> Tensor:
-        return self.raw[:, :, 3]
-
     def image_np(self) -> np.ndarray:
         return self.raw.data[:, :, 0:3]
 
@@ -187,6 +183,7 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
     ``ids`` are the persistent particle ids used for depth tie-breaks;
     ``row_map`` maps rasterizer input rows to cloud rows for the top-k lists.
     ``aux["topk"]`` builds the top-k lists (see ``_topk_lists``) when called.
+    Needs at least one row: ``render`` returns its background without it.
     """
     k_top = settings.top_k
     bg = np.asarray(settings.bg_color, dtype=np.float64)
@@ -195,12 +192,6 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
 
     raw = np.empty((height, width, 4))
     t_final = np.ones((height, width))
-
-    if m_total == 0:
-        raw[:, :, 0:3] = bg
-        raw[:, :, 3] = bg_depth
-        out = record(raw, (), None, "rasterize")
-        return out, {"t_final": t_final, "topk": lambda: _topk_lists((), (), None, height, width, k_top)}
 
     order = np.lexsort((ids, depth.data))
     mx = means2d.data[order, 0]

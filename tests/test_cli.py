@@ -284,3 +284,25 @@ def test_train_resume_writes_checkpoint_config_and_notes_ignored_flags(workspace
     notes = [line for line in capsys.readouterr().err.splitlines() if "ignored on resume" in line]
     assert notes == ["note: --seed 9 ignored on resume; the checkpoint sets seed=42",
                      "note: --iters 40 ignored on resume; the checkpoint sets iterations=3"]
+
+
+def test_train_resume_notes_each_ignored_config_field(workspace, tmp_path, capsys):
+    cfg = small_run_config()
+    cfg.checkpoint_interval = 2
+    cfg_path = tmp_path / "run.json"
+    cfg.save_json(cfg_path)
+    scene = str(workspace["scene"])
+    assert main(["train", "--config", str(cfg_path), "--scene", scene, "--out", str(tmp_path / "run")]) == 0
+    ckpt = str(tmp_path / "run" / "ckpt_000002.pidg")
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps(dict(cfg.to_dict(), lambda_cmr=0.5, top_k=2)))
+    capsys.readouterr()
+
+    assert main(["train", "--config", str(changed), "--scene", scene, "--out", str(tmp_path / "a"),
+                 "--resume", ckpt]) == 0
+    notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note:")]
+    assert notes == ["note: --config lambda_cmr=0.5 ignored on resume; the checkpoint sets lambda_cmr=0.1",
+                     "note: --config top_k=2 ignored on resume; the checkpoint sets top_k=4"]
+    assert main(["train", "--scene", scene, "--out", str(tmp_path / "b"), "--resume", ckpt]) == 0
+    assert not [line for line in capsys.readouterr().err.splitlines() if line.startswith("note:")]
+    assert (tmp_path / "a" / "final.pidg").read_bytes() == (tmp_path / "b" / "final.pidg").read_bytes()

@@ -11,7 +11,6 @@ from pidg.encoding import (
     decomposed_entry_count,
     geometric_levels,
     hash_vertices,
-    hash_vertices_2d,
     monolithic_entry_count,
 )
 
@@ -32,9 +31,10 @@ def test_hash_matches_independent_reference():
 
 
 def test_hash_2d_matches_reference():
+    # a plane vertex (u, v) hashes as the 3D vertex (u, v, 0)
     rng = np.random.default_rng(1)
     pts = rng.integers(0, 5000, size=(100, 2))
-    got = hash_vertices_2d(pts[:, 0], pts[:, 1], 1024)
+    got = hash_vertices(pts[:, 0], pts[:, 1], 0, 1024)
     for (u, v), h in zip(pts, got):
         ref = (((int(u) * PRIMES[0]) & _M32) ^ ((int(v) * PRIMES[1]) & _M32)) % 1024
         assert h == ref
@@ -256,7 +256,7 @@ def _plane_oracle(plane, p, g, output):
         tgrad = np.zeros_like(plane.tables[l].data)
         for bu, bv in ((0, 0), (1, 0), (0, 1), (1, 1)):
             iu, iv = cu + bu, cv + bv
-            idx = iu + nu * iv if plane.dense[l] else hash_vertices_2d(iu, iv, plane.table_size)
+            idx = iu + nu * iv if plane.dense[l] else hash_vertices(iu, iv, 0, plane.table_size)
             e = plane.tables[l].data[idx]
             su, sv = (1.0 if bu else -1.0), (1.0 if bv else -1.0)
             val += e * wu[bu] * wv[bv]
@@ -307,7 +307,7 @@ def test_plane_matches_per_corner_oracle_bit_for_bit(output):
     pts = rng.uniform(0.0, 1.0, (300, 2))
     pts[:3] = [[0, 0], [1, 1], [0.5, 1]]
     cu, cv = _cells(pts[:, 0], 64)[0], _cells(pts[:, 1], 64)[0]
-    assert _collides(cu + 64 * cv, hash_vertices_2d(cu, cv, 32))
+    assert _collides(cu + 64 * cv, hash_vertices(cu, cv, 0, 32))
     g = rng.normal(size=300)
     g[::5] = -0.0
     with ad.Tape() as tape:

@@ -99,11 +99,23 @@ def test_jets_match_coordinate_finite_differences():
             fd_s = (sp.data - sm.data) / (2 * h)
         assert np.allclose(parts["v"][axis], fd_v, rtol=1e-5, atol=1e-7), axis
         assert np.allclose(parts["s"][axis], fd_s, rtol=1e-5, atol=1e-7), axis
-    # jet values equal plain evaluation
-    with ad.Tape():
-        v, s = field.evaluate(pts, ids)
-    assert np.allclose(vals["v"], v.data, atol=1e-14)
-    assert np.allclose(vals["s"], s.data, atol=1e-14)
+    # jet values equal plain evaluation bit for bit, and so do the parameter
+    # gradients of a loss on the values
+    wv, ws = rng.normal(size=(5, 3)), rng.normal(size=(5, 6))
+    tensors = [t for _, t in field.params]
+    grads = {}
+    for name, fn in (("plain", field.evaluate), ("jets", field.evaluate_with_jets)):
+        with ad.Tape() as tape:
+            v, s = fn(pts, ids)
+            if name == "jets":
+                v, s = v.val, s.val
+            assert v.data.tobytes() == vals["v"].tobytes()
+            assert s.data.tobytes() == vals["s"].tobytes()
+            loss = ad.add(ad.sum_(ad.mul(v, ad.constant(wv))), ad.sum_(ad.mul(s, ad.constant(ws))))
+            grads[name] = tape.grad(loss, tensors)
+    for (name, _), plain, jets in zip(field.params, grads["plain"], grads["jets"]):
+        assert np.any(plain != 0.0), name
+        assert plain.tobytes() == jets.tobytes(), name
 
 
 def test_jet_partial_losses_reach_parameters():

@@ -1,11 +1,13 @@
 """Rasterizer: brute-force agreement, thread determinism, gradients, compositing."""
 
-import importlib
+import types
 
 import numpy as np
 import pytest
 
+import pidg
 import pidg.autodiff as ad
+import pidg.render as render_module
 from pidg.camera import camera_from_fov
 from pidg.render import (
     RenderSettings,
@@ -27,6 +29,14 @@ def random_cloud(rng, n, radius=0.5):
 
 def make_camera(w=32, h=24):
     return camera_from_fov((0.4, 0.3, -2.5), (0.0, 0.0, 0.0), 50.0, w, h)
+
+
+def test_package_attribute_is_the_render_module():
+    # the package does not re-export the renderer, so it cannot shadow its submodule
+    assert pidg.render is render_module
+    assert isinstance(render_module, types.ModuleType)
+    assert render_module.render is render
+    assert "render" not in pidg.__all__
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -180,7 +190,6 @@ def test_topk_matches_per_pixel_reference():
 
 
 def test_topk_built_once_on_first_read(monkeypatch):
-    render_module = importlib.import_module("pidg.render")
     builds = []
     build = render_module._topk_lists
     monkeypatch.setattr(render_module, "_topk_lists", lambda *a: builds.append(1) or build(*a))
