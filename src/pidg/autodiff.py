@@ -111,12 +111,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(op={self.op}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, op="detach")
-
-    def item(self) -> float:
-        return float(self.data)
-
     # -- arithmetic sugar ----------------------------------------------------
     def __add__(self, other):
         return add(self, other)
@@ -134,32 +128,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return pow_const(self, p)
-
     def __getitem__(self, key):
         return getitem(self, key)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
 
 
 def constant(data) -> Tensor:
@@ -388,27 +358,14 @@ def mean(a, axis=None, keepdims=False) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Batched matrix product; both operands must be at least 2-D."""
     a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ValueError(f"matmul needs operands of at least 2 dimensions, got {a.shape} and {b.shape}")
 
     def vjp(g):
-        ad, bd = a.data, b.data
-        if ad.ndim == 1 and bd.ndim == 1:  # inner product
-            accumulate_grad(a, g * bd)
-            accumulate_grad(b, g * ad)
-            return
-        ga = gb = None
-        if ad.ndim == 1:  # (k,) @ (..., k, n)
-            ga = (np.expand_dims(g, -2) @ np.swapaxes(bd, -1, -2)).reshape(g.shape[:-1] + ad.shape)
-            gb = np.expand_dims(ad, -1) * np.expand_dims(g, -2)
-        elif bd.ndim == 1:  # (..., m, k) @ (k,)
-            ga = np.expand_dims(g, -1) * np.expand_dims(bd, -2)
-            gb = np.swapaxes(ad, -1, -2) @ np.expand_dims(g, -1)
-            gb = gb.reshape(gb.shape[:-1])
-        else:
-            ga = g @ np.swapaxes(bd, -1, -2)
-            gb = np.swapaxes(ad, -1, -2) @ g
-        accumulate_grad(a, _unbroadcast(ga, ad.shape))
-        accumulate_grad(b, _unbroadcast(gb, bd.shape))
+        accumulate_grad(a, g @ np.swapaxes(b.data, -1, -2))
+        accumulate_grad(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return record(a.data @ b.data, (a, b), vjp, "matmul")
 

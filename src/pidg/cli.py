@@ -158,7 +158,7 @@ def cmd_render(args) -> int:
     respect = iteration >= config.stage2_start()
     settings = RenderSettings(top_k=config.top_k)
     out_dir = pio.ensure_dir(args.out)
-    with ad.Tape():
+    with ad.Tape(keep_graph=False):
         out = render(cloud, camera, t, deform_field=deform, normalizer=normalizer,
                      settings=settings, respect_dynamic_mask=respect)
     if "color" in emits:
@@ -180,7 +180,7 @@ def cmd_render(args) -> int:
             return render(cloud, data.cameras[f], data.times[f], deform_field=deform,
                           normalizer=normalizer, settings=settings, respect_dynamic_mask=respect)
 
-        with ad.Tape():
+        with ad.Tape(keep_graph=False):
             out_t = out if own_frame else render_frame(frame)
             flow_g, flow_v, v_world = frame_pair_flows(out_t, render_frame(frame + 1), cloud.ids,
                                                        material, normalizer)

@@ -145,6 +145,3 @@ class DeformationField:
             quat_d = ad.where(m1, quat_d, normalize_quaternions(quat))
             scale_d = ad.where(m1, scale_d, log_scale)
         return mu_d, quat_d, scale_d
-
-    def entry_counts(self) -> dict[str, int]:
-        return {name: g.entry_count() for name, g in self.grids.items()}

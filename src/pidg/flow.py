@@ -75,6 +75,14 @@ def _pixel_grid(height: int, width: int) -> np.ndarray:
     return np.stack([u, v], axis=-1)  # (H, W, 2) pixel centers
 
 
+def surface_points(depth: np.ndarray, camera) -> np.ndarray:
+    """World points (H, W, 3) of a depth map's pixel centres; a pixel with
+    depth <= 0 is lifted at depth 1."""
+    h, w = depth.shape
+    d = depth.reshape(-1)
+    return camera.backproject(_pixel_grid(h, w).reshape(-1, 2), np.where(d > 0.0, d, 1.0)).reshape(h, w, 3)
+
+
 def decompose_backward(flow_b: FlowField, depth, cam_t, cam_t1):
     """Split backward flow at I_{t+1} into (camera flow, motion flow).
 
@@ -88,11 +96,9 @@ def decompose_backward(flow_b: FlowField, depth, cam_t, cam_t1):
     if depth.shape != (h, w):
         raise ValueError("depth map size does not match the flow field")
     p4 = _pixel_grid(h, w).reshape(-1, 2)
-    d = depth.reshape(-1)
-    ok = flow_b.valid.reshape(-1) & (d > 0.0)
+    ok = flow_b.valid.reshape(-1) & (depth.reshape(-1) > 0.0)
 
-    x2 = cam_t1.backproject(p4, np.where(d > 0.0, d, 1.0))  # world points
-    p2, z2 = cam_t.project(x2)
+    p2, z2 = cam_t.project(surface_points(depth, cam_t1).reshape(-1, 3))
     ok &= z2 > 0.0
     ok &= (p2[:, 0] >= 0.0) & (p2[:, 0] <= w - 1.0) & (p2[:, 1] >= 0.0) & (p2[:, 1] <= h - 1.0)
 

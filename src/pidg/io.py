@@ -42,27 +42,34 @@ def write_ppm(path, image: np.ndarray) -> None:
         f.write(u8.tobytes())
 
 
-def _read_pnm_header(f, magic: bytes):
-    if f.read(2) != magic:
-        raise ValueError(f"not a {magic.decode()} file")
-    fields = []
-    while len(fields) < 3:
-        line = f.readline()
-        if not line:
-            raise ValueError("truncated header")
-        fields += line.split(b"#")[0].split()
-    w, h, maxval = (int(x) for x in fields[:3])
-    if maxval != 255:
-        raise ValueError("only 8-bit files supported")
-    return w, h
+def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
+    """The (H, W, channels) u8 pixels of a binary PPM/PGM file. Raises
+    ``ValueError`` naming the file, and the part that is bad, when the file
+    has another magic, a malformed or truncated header, too few pixels or
+    bytes after them."""
+    kind = f"{magic.decode()} file"
+    with open(path, "rb") as f:
+        _read_header(f, magic, 2, path, kind)
+        fields = []
+        while len(fields) < 3:
+            line = f.readline()
+            if not line:
+                raise ValueError(f"{path}: {kind} truncated in the header")
+            fields += line.split(b"#")[0].split()
+        if not all(x.isdigit() for x in fields[:3]):
+            head = b" ".join(fields[:3]).decode(errors="replace")
+            raise ValueError(f"{path}: {kind} has a malformed width, height or maxval in the header ({head!r})")
+        w, h, maxval = (int(x) for x in fields[:3])
+        if maxval != 255:
+            raise ValueError(f"{path}: only 8-bit {kind}s are supported (maxval {maxval})")
+        data = np.frombuffer(_read_exact(f, h * w * channels, path, kind, "the pixels"), dtype=np.uint8)
+        _reject_trailing(f, path, "the pixels")
+    return data.reshape(h, w, channels)
 
 
 def read_ppm(path) -> np.ndarray:
     """Binary P6 file -> float image (H, W, 3) in [0, 1]."""
-    with open(path, "rb") as f:
-        w, h = _read_pnm_header(f, b"P6")
-        data = np.frombuffer(f.read(w * h * 3), dtype=np.uint8)
-    return data.reshape(h, w, 3).astype(np.float64) / 255.0
+    return _read_pnm(path, b"P6", 3).astype(np.float64) / 255.0
 
 
 def write_pgm(path, mask: np.ndarray) -> None:
@@ -75,10 +82,8 @@ def write_pgm(path, mask: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        w, h = _read_pnm_header(f, b"P5")
-        data = np.frombuffer(f.read(w * h), dtype=np.uint8)
-    return data.reshape(h, w)
+    """Binary P5 file -> u8 mask (H, W)."""
+    return _read_pnm(path, b"P5", 1)[:, :, 0]
 
 
 def write_flow(path, field: FlowField) -> None:

@@ -172,6 +172,3 @@ class MaterialField:
         v_val, s_val = self._split(out)
         v_tan, s_tan = zip(*(self._split(out_tan[a]) for a in range(4)))
         return JetVec(v_val, *v_tan), JetVec(s_val, *s_tan)
-
-    def entry_counts(self) -> dict:
-        return {name: self.planes[name].entry_count() for name, _, _ in PLANE_AXES}

@@ -7,11 +7,11 @@ isotropic dilation) -> tile-based alpha compositing front to back.
 Compositing per pixel is C = sum_i c_i a_i T_i with T_i = prod_{j<i} (1-a_j),
 contributors sorted by ascending camera depth (ties broken by particle id),
 each contributor truncated to the chi^2 <= support ellipse (3 sigma by
-default) and skipped below the 1/255 alpha floor. Depth output is the alpha
-expected depth plus T_final * background depth. The rasterizer is one fused
-node on the tape with a hand-written backward pass; everything upstream is
-ordinary tape ops, so gradients reach positions, shapes, colors, opacities
-and the deformation field.
+default) and skipped below the 1/255 alpha floor. The image composites over
+black, and the depth output is the alpha expected depth. The rasterizer is
+one fused node on the tape with a hand-written backward pass; everything
+upstream is ordinary tape ops, so gradients reach positions, shapes, colors,
+opacities and the deformation field.
 
 Tiles are independent: they write disjoint pixels, so the image is identical
 no matter how many worker threads process them (PIDG_THREADS).
@@ -31,16 +31,16 @@ from .camera import Camera
 from .scene import SH_C0, SH_C1, GaussianCloud, _rotmats_np, covariance
 
 
+TILE = 16  # tile edge in pixels
+ALPHA_MAX = 0.999  # per-contributor opacity clamp
+NEAR = 0.01  # particles at camera depth <= NEAR are culled
+
+
 @dataclass
 class RenderSettings:
-    bg_color: tuple = (0.0, 0.0, 0.0)
-    bg_depth: float = 0.0
-    tile_size: int = 16
     alpha_min: float = 1.0 / 255.0
-    alpha_max: float = 0.999
     support_chi2: float = 9.0
     top_k: int = 8
-    near: float = 0.01
     threads: int | None = None  # None -> PIDG_THREADS env var, default 1
 
     def worker_count(self) -> int:
@@ -183,14 +183,13 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
     ``ids`` are the persistent particle ids used for depth tie-breaks;
     ``row_map`` maps rasterizer input rows to cloud rows for the top-k lists.
     ``aux["topk"]`` builds the top-k lists (see ``_topk_lists``) when called.
-    Needs at least one row: ``render`` returns its background without it.
+    With zero rows the image is black at depth 0 and the node has no parents,
+    so no gradient flows from it.
     """
     k_top = settings.top_k
-    bg = np.asarray(settings.bg_color, dtype=np.float64)
-    bg_depth = float(settings.bg_depth)
     m_total = means2d.data.shape[0]
 
-    raw = np.empty((height, width, 4))
+    raw = np.zeros((height, width, 4))
     t_final = np.ones((height, width))
 
     order = np.lexsort((ids, depth.data))
@@ -214,7 +213,7 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
     else:
         radius = np.full(m_total, np.inf)
 
-    tiles = list(_tile_ranges(height, width, settings.tile_size))
+    tiles = list(_tile_ranges(height, width, TILE))
     saved = [None] * len(tiles)
     tile_weights = [None] * len(tiles)
 
@@ -224,9 +223,6 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
         ph, pw = y1 - y0, x1 - x0
         n_px = ph * pw
         if len(sel) == 0:
-            raw[y0:y1, x0:x1, 0:3] = bg
-            raw[y0:y1, x0:x1, 3] = bg_depth
-            t_final[y0:y1, x0:x1] = 1.0
             return
         gx, gy = np.meshgrid(np.arange(x0, x1, dtype=np.float64), np.arange(y0, y1, dtype=np.float64))
         px = gx.reshape(-1)
@@ -235,19 +231,16 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
         dy = py[:, None] - my[sel][None, :]
         q = ca[sel] * dx * dx + 2.0 * cb[sel] * dx * dy + cc[sel] * dy * dy
         gauss = np.exp(-0.5 * q)
-        alpha = np.minimum(op[sel] * gauss, settings.alpha_max)
+        alpha = np.minimum(op[sel] * gauss, ALPHA_MAX)
         live = (q <= chi2) & (alpha >= settings.alpha_min)
         alpha = np.where(live, alpha, 0.0)
         cum = np.cumprod(1.0 - alpha, axis=1)
         trans = np.concatenate([np.ones((n_px, 1)), cum[:, :-1]], axis=1)
-        tf = cum[:, -1]
         w = alpha * trans
-        img = w @ cols[sel] + tf[:, None] * bg
-        dep = w @ zz[sel] + tf * bg_depth
-        raw[y0:y1, x0:x1, 0:3] = img.reshape(ph, pw, 3)
-        raw[y0:y1, x0:x1, 3] = dep.reshape(ph, pw)
-        t_final[y0:y1, x0:x1] = tf.reshape(ph, pw)
-        saved[idx] = (sel, alpha, trans, gauss, live, dx, dy, tf, w)
+        raw[y0:y1, x0:x1, 0:3] = (w @ cols[sel]).reshape(ph, pw, 3)
+        raw[y0:y1, x0:x1, 3] = (w @ zz[sel]).reshape(ph, pw)
+        t_final[y0:y1, x0:x1] = cum[:, -1].reshape(ph, pw)
+        saved[idx] = (sel, alpha, trans, gauss, live, dx, dy, w)
         tile_weights[idx] = (sel, w)
 
     workers = settings.worker_count()
@@ -270,7 +263,7 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
             state = saved[idx]
             if state is None:
                 continue
-            sel, alpha, trans, gauss, live, dx, dy, tf, w = state
+            sel, alpha, trans, gauss, live, dx, dy, w = state
             gi = gimg[y0:y1, x0:x1].reshape(-1, 3)
             gd = gdep[y0:y1, x0:x1].reshape(-1)
             dw = gi @ cols[sel].T + gd[:, None] * zz[sel][None, :]
@@ -278,9 +271,8 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
             d_z[sel] += w.T @ gd
             contrib = dw * w
             suffix = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1] - contrib
-            c_bg = gi @ bg + gd * bg_depth
-            dalpha = dw * trans - (suffix + (c_bg * tf)[:, None]) / (1.0 - alpha)
-            eff = live & (alpha < settings.alpha_max)
+            dalpha = dw * trans - suffix / (1.0 - alpha)
+            eff = live & (alpha < ALPHA_MAX)
             dalpha = np.where(eff, dalpha, 0.0)
             d_op[sel] += (gauss * dalpha).sum(axis=0)
             dq = -0.5 * gauss * op[sel] * dalpha
@@ -299,7 +291,8 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
         accumulate_grad(opacity, d_op[inv])
         accumulate_grad(depth, d_z[inv])
 
-    out = record(raw, (means2d, conic, colors, opacity, depth), vjp, "rasterize")
+    parents = (means2d, conic, colors, opacity, depth) if m_total else ()
+    out = record(raw, parents, vjp, "rasterize")
     return out, {"t_final": t_final,
                  "topk": lambda: _topk_lists(tiles, tile_weights, rows_sorted, height, width, k_top)}
 
@@ -315,29 +308,6 @@ def render(
 ) -> RenderOutput:
     """Render the cloud at normalized time t (deformed when a field is given)."""
     settings = settings or RenderSettings()
-    h, w = camera.height, camera.width
-
-    def background() -> RenderOutput:
-        raw = np.empty((h, w, 4))
-        raw[:, :, 0:3] = np.asarray(settings.bg_color)
-        raw[:, :, 3] = settings.bg_depth
-        k = settings.top_k
-        return RenderOutput(
-            record(raw, (), None, "rasterize"),
-            np.ones((h, w)),
-            np.full((h, w, k), -1, dtype=np.int64),
-            np.zeros((h, w, k)),
-            np.zeros(0, dtype=np.int64),
-            ad.constant(np.zeros((0, 2))),
-            ad.constant(np.zeros((0, 3))),
-            ad.constant(np.zeros(0)),
-            camera,
-            t,
-        )
-
-    if len(cloud) == 0:
-        return background()
-
     if deform_field is not None:
         if normalizer is None:
             raise ValueError("deformation requires a scene normalizer")
@@ -349,10 +319,7 @@ def render(
 
     cov3d = covariance(quat_d, scale_d)
     pc = ad.add(ad.matmul(mu_d, ad.constant(camera.rot.T)), ad.constant(camera.trans))
-    keep = np.nonzero(pc.data[:, 2] > settings.near)[0]
-    if len(keep) == 0:
-        return background()
-
+    keep = np.nonzero(pc.data[:, 2] > NEAR)[0]
     pc_k = ad.take_rows(pc, keep)
     cov_k = ad.take_rows(cov3d, keep)
     mu_k = ad.take_rows(mu_d, keep)
@@ -366,7 +333,8 @@ def render(
     opac = ad.sigmoid(logit_k)
 
     means2d, cov2d, conic, z = project_gaussians(pc_k, cov_k, camera)
-    raw, aux = rasterize(means2d, conic, colors, opac, z, cloud.ids[keep], keep, h, w, settings)
+    raw, aux = rasterize(means2d, conic, colors, opac, z, cloud.ids[keep], keep,
+                         camera.height, camera.width, settings)
     return RenderOutput(
         raw, aux["t_final"], None, None, keep, means2d, cov2d, z, camera, t,
         positions_world=mu_k.data.copy(), topk_build=aux["topk"],
@@ -380,7 +348,6 @@ def render_brute_force(cloud: GaussianCloud, camera: Camera, settings: RenderSet
     """Naive reference renderer: full reprojection and a per-pixel loop over
     every particle in depth order. Returns (H, W, 4) rgb+depth."""
     settings = settings or RenderSettings()
-    bg = np.asarray(settings.bg_color, dtype=np.float64)
     h, w = camera.height, camera.width
     out = np.empty((h, w, 4))
 
@@ -392,7 +359,7 @@ def render_brute_force(cloud: GaussianCloud, camera: Camera, settings: RenderSet
     cov = m @ np.swapaxes(m, 1, 2)
 
     pc = mu @ camera.rot.T + camera.trans
-    vis = pc[:, 2] > settings.near
+    vis = pc[:, 2] > NEAR
     pc = pc[vis]
     cov = cov[vis]
     ids = cloud.ids[vis]
@@ -438,12 +405,12 @@ def render_brute_force(cloud: GaussianCloud, camera: Camera, settings: RenderSet
                 q = ia[i] * dx * dx + 2.0 * ib[i] * dx * dy + ic[i] * dy * dy
                 if q > settings.support_chi2:
                     continue
-                a = min(opac[i] * np.exp(-0.5 * q), settings.alpha_max)
+                a = min(opac[i] * np.exp(-0.5 * q), ALPHA_MAX)
                 if a < settings.alpha_min:
                     continue
                 color = color + cols[i] * (a * trans)
                 dep += z[i] * a * trans
                 trans *= 1.0 - a
-            out[row, col, 0:3] = color + trans * bg
-            out[row, col, 3] = dep + trans * settings.bg_depth
+            out[row, col, 0:3] = color
+            out[row, col, 3] = dep
     return out

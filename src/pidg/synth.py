@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import Camera, camera_from_fov
-from .flow import FlowField, _pixel_grid
+from .camera import camera_from_fov
+from .flow import FlowField, _pixel_grid, surface_points
 from .render import RenderSettings, render
 from .scene import SH_C0, GaussianCloud
 from . import io as pio
@@ -251,7 +251,7 @@ class SyntheticScene:
         generated backward flow and depth.
         """
         f0, f1 = pair, pair + 1
-        surf = _surface_points(self.depths[f1], self.cameras[f1])
+        surf = surface_points(self.depths[f1], self.cameras[f1])
         valid = self.depths[f1] > 0.0
         x0 = self.motion.inverse(surf.reshape(-1, 3), self.times[f1])
         xa = self.motion.forward(x0, self.times[f0])
@@ -272,14 +272,6 @@ def _quat_multiply(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
     ], axis=1)
-
-
-def _surface_points(depth: np.ndarray, camera: Camera) -> np.ndarray:
-    """Backproject a depth map to world points (invalid pixels -> depth 1)."""
-    h, w = depth.shape
-    pix = _pixel_grid(h, w).reshape(-1, 2)
-    d = np.where(depth.reshape(-1) > 0.0, depth.reshape(-1), 1.0)
-    return camera.backproject(pix, d).reshape(h, w, 3)
 
 
 def _init_cloud(spec: SceneSpec, rng) -> GaussianCloud:
@@ -313,7 +305,7 @@ def generate(spec: SceneSpec) -> SyntheticScene:
     cams = _orbit_cameras(spec)
     times = [f / (spec.frames - 1) for f in range(spec.frames)]
     motion = MotionModel(spec)
-    settings = RenderSettings(bg_depth=0.0, threads=1)
+    settings = RenderSettings(threads=1)
 
     scene = SyntheticScene(spec, cloud0, cams, times, None, None, None, None, None, None)
     images = np.zeros((spec.frames, spec.height, spec.width, 3))
@@ -329,30 +321,23 @@ def generate(spec: SceneSpec) -> SyntheticScene:
         covers[f] = ok
     scene.images, scene.depths = images, depths
 
-    flows_b, flows_fwd = [], []
-    for f in range(spec.frames - 1):
-        t0, t1 = times[f], times[f + 1]
-        # backward flow at I_{f+1}: where was this surface point at t0, seen by cam f?
-        surf1 = _surface_points(depths[f + 1], cams[f + 1]).reshape(-1, 3)
-        back = motion.forward(motion.inverse(surf1, t1), t0)
-        p1, z1 = cams[f].project(back)
-        grid1 = _pixel_grid(spec.height, spec.width).reshape(-1, 2)
-        okb = covers[f + 1].reshape(-1) & (z1 > 0)
-        flows_b.append(FlowField((p1 - grid1).reshape(spec.height, spec.width, 2),
-                                 okb.reshape(spec.height, spec.width)))
-        # forward flow at I_f: where does this surface point land at t1, seen by cam f+1?
-        surf0 = _surface_points(depths[f], cams[f]).reshape(-1, 3)
-        fwd = motion.forward(motion.inverse(surf0, t0), t1)
-        p2, z2 = cams[f + 1].project(fwd)
-        okf = covers[f].reshape(-1) & (z2 > 0)
-        flows_fwd.append(FlowField((p2 - grid1).reshape(spec.height, spec.width, 2),
-                                   okf.reshape(spec.height, spec.width)))
-    scene.flows_b, scene.flows_fwd = flows_b, flows_fwd
+    grid = _pixel_grid(spec.height, spec.width).reshape(-1, 2)
+
+    def carried_flow(src: int, dst: int) -> FlowField:
+        """Flow at I_src: where each surface point of frame src is at time dst,
+        seen by camera dst."""
+        surf = surface_points(depths[src], cams[src]).reshape(-1, 3)
+        p, z = cams[dst].project(motion.forward(motion.inverse(surf, times[src]), times[dst]))
+        ok = covers[src].reshape(-1) & (z > 0)
+        return FlowField((p - grid).reshape(spec.height, spec.width, 2), ok.reshape(spec.height, spec.width))
+
+    scene.flows_b = [carried_flow(f + 1, f) for f in range(spec.frames - 1)]
+    scene.flows_fwd = [carried_flow(f, f + 1) for f in range(spec.frames - 1)]
 
     masks = np.zeros((spec.frames, spec.height, spec.width), dtype=bool)
     for f in range(spec.frames):
         pair = (f, f + 1) if f < spec.frames - 1 else (f - 1, f)
-        surf = _surface_points(depths[f], cams[f]).reshape(-1, 3)
+        surf = surface_points(depths[f], cams[f]).reshape(-1, 3)
         x0 = motion.inverse(surf, times[f])
         pa, za = cams[f].project(motion.forward(x0, times[pair[0]]))
         pb, zb = cams[f].project(motion.forward(x0, times[pair[1]]))
@@ -412,14 +397,6 @@ class SceneData:
     @property
     def frames(self) -> int:
         return len(self.times)
-
-    @property
-    def height(self) -> int:
-        return self.images.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.images.shape[2]
 
 
 def scene_data(scene: SyntheticScene) -> SceneData:

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import io as pio
 from .config import RunConfig
 from .deform import DeformationField
-from .flow import decompose_backward, frame_pair_flows, gaussian_flow, lpfm_loss, warp_flow_forward
+from .flow import decompose_backward, frame_pair_flows, gaussian_flow, lpfm_loss, surface_points, warp_flow_forward
 from .losses import psnr, renders_loss, ssim
 from .material import MaterialField
 from .optim import Adam, exp_decay
@@ -88,9 +88,7 @@ class Trainer:
             ok = d > 0.0
             if not ok.any():
                 continue
-            v, u = np.nonzero(ok)
-            pix = np.stack([u.astype(np.float64), v.astype(np.float64)], axis=1)
-            pts.append(self.data.cameras[f].backproject(pix, d[ok]))
+            pts.append(surface_points(d, self.data.cameras[f])[ok])
             cols.append(self.data.images[f][ok])
         n = cfg.init_particles
         if not pts:
@@ -149,9 +147,9 @@ class Trainer:
 
     def _deformed_positions(self, rows, t: float, dynamic=None) -> np.ndarray:
         """World positions of the cloud ``rows`` deformed to time t, computed
-        under a throwaway tape (no gradient reaches the cloud or the field)."""
+        forward-only (no gradient reaches the cloud or the field)."""
         mu = self.cloud.mu.data[rows]
-        with ad.Tape():
+        with ad.Tape(keep_graph=False):
             mu_d, _, _ = self.deform.deform_gaussians(
                 ad.constant(mu), ad.constant(self.cloud.quat.data[rows]),
                 ad.constant(self.cloud.log_scale.data[rows]),
@@ -371,7 +369,7 @@ class Trainer:
             rng = np.random.default_rng(self.config.seed)
             sel = np.sort(rng.choice(n, samples, replace=False))
         world = self._deformed_positions(sel, t)
-        with ad.Tape():
+        with ad.Tape(keep_graph=False):
             vel, sig = self.material.evaluate_with_jets(
                 self.normalizer.unit4_np(world, t), self.cloud.ids[sel])
             r = momentum_residual(vel, sig, rho=self.config.material.rho,

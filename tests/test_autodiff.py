@@ -97,7 +97,7 @@ def test_binary_gradients_with_broadcasting(seed):
         assert np.allclose(gb, fd_grad(fb, b), rtol=1e-6, atol=1e-8)
 
 
-@pytest.mark.parametrize("shapes", [((3, 4), (4, 2)), ((2, 3, 4), (2, 4, 5)), ((5, 4), (4,))])
+@pytest.mark.parametrize("shapes", [((3, 4), (4, 2)), ((2, 3, 4), (2, 4, 5))])
 def test_matmul_gradients(shapes):
     rng = np.random.default_rng(7)
     a = rng.normal(size=shapes[0])
@@ -118,6 +118,15 @@ def test_matmul_gradients(shapes):
 
     assert np.allclose(ga, fd_grad(fa, a), rtol=1e-6, atol=1e-8)
     assert np.allclose(gb, fd_grad(fb, b), rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("shapes", [((5, 4), (4,)), ((4,), (4, 2)), ((4,), (4,))])
+def test_matmul_rejects_1d_operand(shapes):
+    rng = np.random.default_rng(7)
+    with ad.Tape():
+        a, b = (ad.parameter(rng.normal(size=shape)) for shape in shapes)
+        with pytest.raises(ValueError, match="at least 2 dimensions"):
+            ad.matmul(a, b)
 
 
 def test_structural_op_gradients():

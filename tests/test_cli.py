@@ -169,6 +169,32 @@ def test_render_flow_renders_each_frame_once(workspace, tmp_path, monkeypatch, e
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
+def test_render_keeps_no_backward_state(workspace, tmp_path, monkeypatch):
+    """Every render of --emit color,depth,flow,quiver is forward-only, and a
+    non-finite value still raises."""
+    outs = []
+
+    def recording_render(*args, **kwargs):
+        outs.append(render(*args, **kwargs))
+        return outs[-1]
+
+    monkeypatch.setattr(cli, "render", recording_render)
+    argv = ["render", str(workspace["ckpt"]), "--scene", str(workspace["scene"]), "--camera", "0",
+            "--out", str(tmp_path / "r"), "--emit", "color,depth,flow,quiver"]
+    assert main(argv) == 0
+    assert len(outs) == 2
+    assert all(out.raw._vjp is None and not out.raw.requires_grad for out in outs)
+
+    def poisoned_model(path):
+        config, iteration, cloud, deform, material, normalizer = load_model(path)
+        cloud.sh.data[0, 0, 0] = np.nan
+        return config, iteration, cloud, deform, material, normalizer
+
+    monkeypatch.setattr(cli, "load_model", poisoned_model)
+    with pytest.raises(ad.NonFiniteError):
+        main(argv)
+
+
 def test_render_from_pose_json(workspace, tmp_path):
     pose = tmp_path / "pose.json"
     pose.write_text(json.dumps({"position": [0.0, 0.5, 3.0], "target": [0.0, 0.0, 0.0],

@@ -143,8 +143,7 @@ def test_field_gradients_match_fd():
 def test_desk_config_entry_counts():
     rng = np.random.default_rng(9)
     field = DeformationField(desk_deform_config(), rng)
-    counts = field.entry_counts()
-    assert set(counts) == {"g_xyz", "g_xyt", "g_yzt", "g_xzt"}
+    assert set(field.grids) == {"g_xyz", "g_xyt", "g_yzt", "g_xzt"}
     # every level is capped by the hash table size
     for name, grid in field.grids.items():
         for tbl, (nx, ny, nz) in zip(grid.tables, grid.level_res):

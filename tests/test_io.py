@@ -231,6 +231,29 @@ def test_flow_and_depth_truncation_names_file_and_part(tmp_path):
         with pytest.raises(ValueError, match=f"{p.name}: trailing bytes"):
             read(p)
 
+
+def test_ppm_and_pgm_reject_corrupt_input_naming_file_and_part(tmp_path):
+    ppm, pgm = tmp_path / "i.ppm", tmp_path / "m.pgm"
+    write_ppm(ppm, np.full((4, 5, 3), 0.5))
+    write_pgm(pgm, np.eye(4, 5, dtype=bool))
+    for p, read, kind, pixels in ((ppm, read_ppm, "P6 file", 60), (pgm, read_pgm, "P5 file", 20)):
+        raw = p.read_bytes()
+        header = raw[: len(raw) - pixels]
+        for cut, part in ((len(raw) - 7, "the pixels"), (len(header) - 4, "the header"), (1, "the header")):
+            p.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match=f"{p.name}: {kind} truncated in {part}"):
+                read(p)
+        p.write_bytes(raw + b"\0\0\0")
+        with pytest.raises(ValueError, match=f"{p.name}: trailing bytes after the pixels"):
+            read(p)
+        p.write_bytes(header.replace(b"5 4", b"5 x") + raw[len(header):])
+        with pytest.raises(ValueError, match=f"{p.name}: {kind} has a malformed .* in the header"):
+            read(p)
+        p.write_bytes(header.replace(b"255", b"511") + raw[len(header):])
+        with pytest.raises(ValueError, match=f"{p.name}: only 8-bit {kind}s"):
+            read(p)
+
+
 class _DiskFull:
     """A file that accepts ``budget`` bytes, then fails as a full disk does."""
 

@@ -153,6 +153,5 @@ def test_jet_partial_losses_reach_parameters():
 
 def test_entry_counts_cover_all_planes():
     field = MaterialField(4, np.random.default_rng(9), tiny_config())
-    counts = field.entry_counts()
-    assert set(counts) == {"xz", "xy", "yz", "xt", "yt", "zt"}
-    assert all(c == 4 * 4 + 8 * 8 for c in counts.values())  # dense 4^2 + 8^2
+    assert set(field.planes) == {"xz", "xy", "yz", "xt", "yt", "zt"}
+    assert all(p.entry_count() == 4 * 4 + 8 * 8 for p in field.planes.values())  # dense 4^2 + 8^2

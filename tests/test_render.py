@@ -9,12 +9,17 @@ import pidg
 import pidg.autodiff as ad
 import pidg.render as render_module
 from pidg.camera import camera_from_fov
+from pidg.deform import DeformConfig, DeformationField
+from pidg.flow import frame_pair_flows
+from pidg.losses import renders_loss
+from pidg.material import MaterialConfig, MaterialField
 from pidg.render import (
+    ALPHA_MAX,
     RenderSettings,
     render,
     render_brute_force,
 )
-from pidg.scene import GaussianCloud
+from pidg.scene import GaussianCloud, SceneNormalizer
 
 
 def random_cloud(rng, n, radius=0.5):
@@ -68,30 +73,58 @@ def test_threads_bit_identical():
         assert a.t_final.tobytes() == b.t_final.tobytes()
 
 
-def test_tile_size_does_not_change_image():
+def test_tile_size_does_not_change_image(monkeypatch):
     rng = np.random.default_rng(11)
     cloud = random_cloud(rng, 25)
     cam = make_camera(40, 28)
     imgs = []
     for tile in (8, 16, 64):
+        monkeypatch.setattr(render_module, "TILE", tile)
         with ad.Tape():
-            imgs.append(render(cloud, cam, 0.0, settings=RenderSettings(tile_size=tile)).raw.data.copy())
+            imgs.append(render(cloud, cam, 0.0).raw.data.copy())
     # tile partitioning changes summation order, so agreement is to rounding,
     # not bitwise (bitwise invariance is across THREADS, tested above)
     assert np.max(np.abs(imgs[0] - imgs[1])) < 1e-12
     assert np.max(np.abs(imgs[1] - imgs[2])) < 1e-12
 
 
+def empty_cloud():
+    return GaussianCloud(np.zeros((0, 3)), np.zeros((0, 4)), np.zeros((0, 3)),
+                         np.zeros((0, 4, 3)), np.zeros(0), np.zeros(0, dtype=np.int64))
+
+
 def test_empty_cloud_renders_background():
-    cloud = GaussianCloud(np.zeros((0, 3)), np.zeros((0, 4)), np.zeros((0, 3)),
-                          np.zeros((0, 4, 3)), np.zeros(0), np.zeros(0, dtype=np.int64))
     cam = make_camera(8, 8)
     with ad.Tape():
-        out = render(cloud, cam, 0.0, settings=RenderSettings(bg_color=(0.2, 0.3, 0.4), bg_depth=7.0))
-    assert np.allclose(out.image_np(), [0.2, 0.3, 0.4])
-    assert np.allclose(out.depth_np(), 7.0)
+        out = render(empty_cloud(), cam, 0.0)
+    assert np.all(out.raw.data == 0.0)  # black at depth 0
     assert np.all(out.t_final == 1.0)
-    assert np.all(out.topk_rows == -1)
+    assert np.all(out.topk_rows == -1) and np.all(out.topk_weights == 0.0)
+    assert len(out.visible_rows) == 0
+
+
+def test_empty_cloud_through_deformation_and_flows():
+    cloud = empty_cloud()
+    rng = np.random.default_rng(18)
+    deform = DeformationField(DeformConfig(spatial_levels=2, spatial_base=4, spatial_max=8,
+                                           temporal_levels=2, time_base=2, time_max=4,
+                                           table_size_log2=8, feature_dim=2,
+                                           attn_width=8, hidden_width=16), rng)
+    material = MaterialField(4, rng, MaterialConfig(plane_levels=2, plane_base=4, plane_max=8,
+                                                    table_size=256, fourier_n=2, embed_dim=4,
+                                                    hidden_width=16))
+    normalizer = SceneNormalizer((0.0, 0.0, 0.0), 2.0)
+    cam = make_camera(8, 8)
+    with ad.Tape():
+        outs = [render(cloud, cam, t, deform_field=deform, normalizer=normalizer,
+                       respect_dynamic_mask=True) for t in (0.0, 0.5)]
+        flow_g, flow_v, v_world = frame_pair_flows(*outs, cloud.ids, material, normalizer)
+    for out in outs:
+        assert np.all(out.raw.data == 0.0) and np.all(out.t_final == 1.0)
+    assert v_world.shape == (0, 3)
+    for flow in (flow_g, flow_v):
+        field = flow.to_field()
+        assert not field.valid.any() and np.all(field.vectors == 0.0)
 
 
 def test_behind_camera_renders_background():
@@ -101,8 +134,22 @@ def test_behind_camera_renders_background():
     cam = make_camera(8, 8)
     with ad.Tape():
         out = render(cloud, cam, 0.0)
-    assert np.allclose(out.image_np(), 0.0)
+    assert np.all(out.raw.data == 0.0)
     assert len(out.visible_rows) == 0
+
+
+def test_behind_camera_backward_leaves_grads_unset():
+    # a render with no visible row records no parents, so the backward sweep
+    # never reaches the cloud and Adam skips its moment update
+    rng = np.random.default_rng(12)
+    cloud = random_cloud(rng, 5)
+    cloud.mu.data[:, 2] = -50.0
+    cam = make_camera(16, 16)  # SSIM needs the 11-pixel window
+    with ad.Tape() as tape:
+        out = render(cloud, cam, 0.0)
+        tape.backward(renders_loss(out.image, np.full((16, 16, 3), 0.5)))
+    for name, p in cloud.params.items():
+        assert p.grad is None, name
 
 
 def test_topk_weights_normalized_single_particle():
@@ -159,7 +206,7 @@ def brute_force_topk(out, cloud, settings):
             for i in order:
                 dx, dy = px - m2d[i, 0], py - m2d[i, 1]
                 q = ia[i] * dx * dx + 2.0 * ib[i] * dx * dy + ic[i] * dy * dy
-                alpha = min(opac[i] * np.exp(-0.5 * q), settings.alpha_max)
+                alpha = min(opac[i] * np.exp(-0.5 * q), ALPHA_MAX)
                 if q > settings.support_chi2 or alpha < settings.alpha_min:
                     alpha = 0.0
                 weights.append(alpha * trans)
@@ -179,8 +226,8 @@ def test_topk_matches_per_pixel_reference():
     rng = np.random.default_rng(16)
     cloud = random_cloud(rng, 12, radius=0.3)
     cloud.log_scale.data = np.log(rng.uniform(0.15, 0.4, (12, 3)))  # overlap: k slots fill
-    cam = make_camera(16, 16)
-    settings = RenderSettings(top_k=4, tile_size=8)
+    cam = make_camera(32, 32)  # spans several tiles
+    settings = RenderSettings(top_k=4)
     with ad.Tape():
         out = render(cloud, cam, 0.0, settings=settings)
     want_rows, want_w = brute_force_topk(out, cloud, settings)
@@ -205,7 +252,7 @@ def test_topk_built_once_on_first_read(monkeypatch):
 
 def test_render_gradients_match_fd():
     # smooth settings: no support cutoff, no alpha floor, opacities far from
-    # the alpha_max clamp -> the whole forward map is differentiable
+    # the ALPHA_MAX clamp -> the whole forward map is differentiable
     rng = np.random.default_rng(14)
     n = 4
     cloud = random_cloud(rng, n, radius=0.3)

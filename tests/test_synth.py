@@ -236,7 +236,7 @@ def test_write_and_load_scene(tmp_path):
 
     data = load_scene(out)
     mem = scene_data(scene)
-    assert data.frames == 3 and data.height == 32 and data.width == 32
+    assert data.frames == 3 and data.images.shape[1:3] == (32, 32)
     # images are 8-bit quantized on disk
     assert np.max(np.abs(data.images - mem.images)) <= 0.5 / 255.0 + 1e-12
     # depth is stored at full precision
