@@ -42,10 +42,11 @@ class Tape:
     """Append-only record of operations, replayed backwards for gradients.
 
     Use as a context manager. Gradients accumulate into ``.grad`` of leaf
-    tensors (parameters/inputs); intermediate node gradients are cleared at
-    the end of each backward sweep so the tape can keep recording and be
-    swept again. With ``keep_graph=False`` the tape still checks every value
-    but records nothing: its outputs are detached and no operation keeps
+    tensors (parameters/inputs). An intermediate node's gradient is released
+    as soon as its VJP has run: the sweep goes in reverse creation order, so
+    nothing adds to it afterwards. The tape can keep recording and be swept
+    again. With ``keep_graph=False`` the tape still checks every value but
+    records nothing: its outputs are detached and no operation keeps
     backward state, which suits forward-only work such as evaluation.
     """
 
@@ -63,23 +64,14 @@ class Tape:
 
     def backward(self, out: "Tensor", seed: float = 1.0) -> None:
         """Accumulate d(seed * out)/d(leaf) into every reachable leaf's .grad."""
-        if out.data.size != 1:
-            raise ValueError("backward root must be a scalar (size-1) tensor")
-        if out.grad is None:
-            out.grad = np.full_like(out.data, float(seed))
-        else:
-            out.grad = out.grad + float(seed)
-        for node in reversed(self.nodes):
-            if node.grad is not None and node._vjp is not None:
-                node._vjp(node.grad)
-        for node in self.nodes:
-            node.grad = None
+        self._sweep(out, seed, keep=())
 
     def grad(self, out: "Tensor", inputs) -> list[np.ndarray]:
         """Gradient of a scalar ``out`` with respect to each tensor in ``inputs``.
 
         Rejects non-scalar outputs and detached inputs. Existing ``.grad``
-        content on the inputs is discarded, not accumulated into.
+        content on the inputs is discarded, not accumulated into. An input
+        may be an intermediate node of this tape.
         """
         inputs = list(inputs)
         for x in inputs:
@@ -87,8 +79,28 @@ class Tape:
                 raise ValueError("grad() input is detached (requires_grad=False)")
         for x in inputs:
             x.grad = None
-        self.backward(out)
-        return [x.grad.copy() if x.grad is not None else np.zeros_like(x.data) for x in inputs]
+        self._sweep(out, 1.0, keep=inputs)
+        grads = [x.grad.copy() if x.grad is not None else np.zeros_like(x.data) for x in inputs]
+        for x in inputs:
+            if x._vjp is not None:  # an intermediate node: released like the rest
+                x.grad = None
+        return grads
+
+    def _sweep(self, out: "Tensor", seed: float, keep) -> None:
+        """The reverse sweep from ``out``; the nodes in ``keep`` hold their
+        gradient past their VJP."""
+        if out.data.size != 1:
+            raise ValueError("backward root must be a scalar (size-1) tensor")
+        if out.grad is None:
+            out.grad = np.full_like(out.data, float(seed))
+        else:
+            out.grad = out.grad + float(seed)
+        kept = {id(x) for x in keep}
+        for node in reversed(self.nodes):
+            if node.grad is not None:
+                node._vjp(node.grad)
+                if id(node) not in kept:
+                    node.grad = None
 
 
 class Tensor:

@@ -13,6 +13,12 @@ one fused node on the tape with a hand-written backward pass; everything
 upstream is ordinary tape ops, so gradients reach positions, shapes, colors,
 opacities and the deformation field.
 
+Per tile, the rasterizer keeps and differentiates only the live (pixel,
+splat) pairs, those inside the support ellipse and at or above the alpha
+floor, as 3DGS and gsplat do; nothing is recomputed in the backward pass.
+The result is bit-equal to compositing every pair, the dead ones with alpha
+0, which ``tests/test_render.py`` keeps as the oracle (see ``rasterize``).
+
 Tiles are independent: they write disjoint pixels, so the image is identical
 no matter how many worker threads process them (PIDG_THREADS).
 """
@@ -22,6 +28,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,7 +85,7 @@ class RenderOutput:
     def _topk_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if self._topk is None:
             self._topk = self._topk_build()
-            self._topk_build = None  # drop the per-tile weights it read
+            self._topk_build = None  # drop the per-tile state it read
         return self._topk
 
     @property
@@ -151,26 +158,69 @@ def _tile_ranges(h: int, w: int, tile: int):
             yield y0, min(y0 + tile, h), x0, min(x0 + tile, w)
 
 
-def _topk_lists(tiles, tile_weights, rows_sorted, height, width, k_top):
+class _TileState(NamedTuple):
+    """A tile's live (pixel, splat) pairs: those inside the splat's support
+    with alpha at or above the floor. ``sel`` holds the tile's splats (the
+    sorted rows whose bounding box meets the tile), in depth order; pair i is
+    tile pixel ``pix[i]`` and splat ``sel[col[i]]``, ``rank[i]``-th among the
+    pixel's live pairs. Pairs are pixel-major, in depth order within a pixel.
+    ``dx``/``dy`` are the pixel minus the splat mean."""
+
+    sel: np.ndarray
+    pix: np.ndarray
+    col: np.ndarray
+    rank: np.ndarray
+    alpha: np.ndarray
+    trans: np.ndarray
+    gauss: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+
+    def weights(self, n_px: int) -> np.ndarray:
+        """Dense (pixels, splats) compositing weights alpha * T, zero at dead pairs."""
+        w = np.zeros((n_px, len(self.sel)))
+        w[self.pix, self.col] = self.alpha * self.trans
+        return w
+
+
+def _splat_sums(vals, state: _TileState, n_px: int) -> np.ndarray:
+    """Per-splat sums of each row of ``vals`` (k, pairs) as (k, splats).
+
+    Bit-equal to numpy's axis-0 sum of the dense (pixels, splats) array that
+    is zero at the dead pairs: numpy adds the rows of an array with two or
+    more columns one after another, which ``scatter_add`` does over the
+    pixel-major pairs. A one-column array is summed pairwise, as a contiguous
+    vector, so that case sums the densified column.
+    """
+    n_sel = len(state.sel)
+    if n_sel == 1:
+        dense = np.zeros((len(vals), n_px))
+        dense[:, state.pix] = vals
+        return dense.sum(axis=1)[:, None]
+    return ad.scatter_add(state.col, vals.T, (n_sel, len(vals))).T
+
+
+def _topk_lists(tiles, saved, rows_sorted, height, width, k_top):
     """Per-pixel top-k contributor rows and weights, normalised over all of
-    the pixel's contributors; ties keep depth order. ``tile_weights[i]`` is
-    tile i's ``(sel, w)`` from the rasterizer, or None for an empty tile."""
+    the pixel's contributors; ties keep depth order. ``saved[i]`` is tile
+    i's ``_TileState``, or None for a tile no splat reaches. One tile's
+    weights are densified at a time."""
     topk_rows = np.full((height, width, k_top), -1, dtype=np.int64)
     topk_w = np.zeros((height, width, k_top))
-    for (y0, y1, x0, x1), state in zip(tiles, tile_weights):
+    for (y0, y1, x0, x1), state in zip(tiles, saved):
         if state is None:
             continue
-        sel, w = state
         ph, pw = y1 - y0, x1 - x0
+        w = state.weights(ph * pw)
         total = w.sum(axis=1)
         covered = total > 0.0
         if np.any(covered):
             nw = np.zeros_like(w)
             nw[covered] = w[covered] / total[covered, None]
-            kk = min(k_top, len(sel))
+            kk = min(k_top, len(state.sel))
             sel_sorted = np.argsort(-nw, axis=1, kind="stable")[:, :kk]
             picked = np.take_along_axis(nw, sel_sorted, axis=1)
-            rows = rows_sorted[sel][sel_sorted]
+            rows = rows_sorted[state.sel][sel_sorted]
             rows[picked <= 0.0] = -1
             topk_rows[y0:y1, x0:x1, :kk] = rows.reshape(ph, pw, kk)
             topk_w[y0:y1, x0:x1, :kk] = np.where(picked > 0.0, picked, 0.0).reshape(ph, pw, kk)
@@ -185,6 +235,15 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
     ``aux["topk"]`` builds the top-k lists (see ``_topk_lists``) when called.
     With zero rows the image is black at depth 0 and the node has no parents,
     so no gradient flows from it.
+
+    Each tile computes ``q`` densely over (pixel, splat), then keeps only the
+    live pairs (``_TileState``): ``exp``, alpha, transmittance and the whole
+    backward pass run on those. The products with colours, depths and the
+    incoming gradient stay dense BLAS products over a zero-filled weight
+    matrix, and per-splat sums follow numpy's own summation order, so the
+    image and every gradient are bit-equal to the dense per-pixel
+    formulation. That order is pixel by pixel, except in a tile with a single
+    splat, whose one-column sum numpy takes pairwise (see ``_splat_sums``).
     """
     k_top = settings.top_k
     m_total = means2d.data.shape[0]
@@ -214,8 +273,7 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
         radius = np.full(m_total, np.inf)
 
     tiles = list(_tile_ranges(height, width, TILE))
-    saved = [None] * len(tiles)
-    tile_weights = [None] * len(tiles)
+    saved: list[_TileState | None] = [None] * len(tiles)
 
     def run_tile(idx):
         y0, y1, x0, x1 = tiles[idx]
@@ -224,24 +282,33 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
         n_px = ph * pw
         if len(sel) == 0:
             return
-        gx, gy = np.meshgrid(np.arange(x0, x1, dtype=np.float64), np.arange(y0, y1, dtype=np.float64))
-        px = gx.reshape(-1)
-        py = gy.reshape(-1)
-        dx = px[:, None] - mx[sel][None, :]
-        dy = py[:, None] - my[sel][None, :]
-        q = ca[sel] * dx * dx + 2.0 * cb[sel] * dx * dy + cc[sel] * dy * dy
-        gauss = np.exp(-0.5 * q)
-        alpha = np.minimum(op[sel] * gauss, ALPHA_MAX)
-        live = (q <= chi2) & (alpha >= settings.alpha_min)
-        alpha = np.where(live, alpha, 0.0)
-        cum = np.cumprod(1.0 - alpha, axis=1)
-        trans = np.concatenate([np.ones((n_px, 1)), cum[:, :-1]], axis=1)
-        w = alpha * trans
+        # q = ca dx dx + 2 cb dx dy + cc dy dy per (pixel, splat), from per-column
+        # and per-row terms in the per-pixel expression's own grouping
+        dxc = np.arange(x0, x1, dtype=np.float64)[:, None] - mx[sel]  # (pw, S)
+        dyr = np.arange(y0, y1, dtype=np.float64)[:, None] - my[sel]  # (ph, S)
+        qx = ca[sel] * dxc * dxc
+        bx = 2.0 * cb[sel] * dxc
+        qy = cc[sel] * dyr * dyr
+        q = ((qx + bx * dyr[:, None]) + qy[:, None]).reshape(n_px, len(sel))
+        pix, col = np.nonzero(q <= chi2)
+        gauss = np.exp(-0.5 * q[pix, col])
+        alpha = np.minimum(op[sel][col] * gauss, ALPHA_MAX)
+        live = alpha >= settings.alpha_min
+        pix, col, gauss, alpha = pix[live], col[live], gauss[live], alpha[live]
+        counts = np.bincount(pix, minlength=n_px)
+        rank = np.arange(len(pix)) - (np.cumsum(counts) - counts)[pix]
+        # T is the product of (1 - alpha) over the pixel's earlier live pairs;
+        # leaving the dead pairs out is exact, as their factor is exactly 1
+        factors = np.ones((n_px, counts.max(initial=0) + 1))
+        factors[pix, rank + 1] = 1.0 - alpha
+        cum = np.cumprod(factors, axis=1)
+        prow, pcol = np.divmod(pix, pw)
+        state = _TileState(sel, pix, col, rank, alpha, cum[pix, rank], gauss, dxc[pcol, col], dyr[prow, col])
+        w = state.weights(n_px)
         raw[y0:y1, x0:x1, 0:3] = (w @ cols[sel]).reshape(ph, pw, 3)
         raw[y0:y1, x0:x1, 3] = (w @ zz[sel]).reshape(ph, pw)
         t_final[y0:y1, x0:x1] = cum[:, -1].reshape(ph, pw)
-        saved[idx] = (sel, alpha, trans, gauss, live, dx, dy, w)
-        tile_weights[idx] = (sel, w)
+        saved[idx] = state
 
     workers = settings.worker_count()
     if workers > 1:
@@ -263,26 +330,30 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
             state = saved[idx]
             if state is None:
                 continue
-            sel, alpha, trans, gauss, live, dx, dy, w = state
+            sel, pix, col, rank, alpha, trans, gauss, dx, dy = state
+            n_px = (y1 - y0) * (x1 - x0)
             gi = gimg[y0:y1, x0:x1].reshape(-1, 3)
             gd = gdep[y0:y1, x0:x1].reshape(-1)
-            dw = gi @ cols[sel].T + gd[:, None] * zz[sel][None, :]
+            w = state.weights(n_px)
             d_cols[sel] += w.T @ gi
             d_z[sel] += w.T @ gd
-            contrib = dw * w
-            suffix = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1] - contrib
+            dw = (gi @ cols[sel].T)[pix, col] + gd[pix] * zz[sel][col]
+            contrib = dw * (alpha * trans)
+            # sum of contrib over each pair's later pairs, as a reverse cumsum
+            # over (pixel, rank) padded with zeros
+            later = np.zeros((n_px, rank.max(initial=-1) + 1))
+            later[pix, rank] = contrib
+            suffix = np.cumsum(later[:, ::-1], axis=1)[:, ::-1][pix, rank] - contrib
             dalpha = dw * trans - suffix / (1.0 - alpha)
-            eff = live & (alpha < ALPHA_MAX)
-            dalpha = np.where(eff, dalpha, 0.0)
-            d_op[sel] += (gauss * dalpha).sum(axis=0)
-            dq = -0.5 * gauss * op[sel] * dalpha
-            d_conic[sel, 0] += (dx * dx * dq).sum(axis=0)
-            d_conic[sel, 1] += (2.0 * dx * dy * dq).sum(axis=0)
-            d_conic[sel, 2] += (dy * dy * dq).sum(axis=0)
-            ax = ca[sel] * dx + cb[sel] * dy
-            ay = cb[sel] * dx + cc[sel] * dy
-            d_m2d[sel, 0] += (-2.0 * ax * dq).sum(axis=0)
-            d_m2d[sel, 1] += (-2.0 * ay * dq).sum(axis=0)
+            dalpha = np.where(alpha < ALPHA_MAX, dalpha, 0.0)
+            dq = -0.5 * gauss * op[sel][col] * dalpha
+            ax = ca[sel][col] * dx + cb[sel][col] * dy
+            ay = cb[sel][col] * dx + cc[sel][col] * dy
+            sums = _splat_sums(np.stack([gauss * dalpha, dx * dx * dq, 2.0 * dx * dy * dq, dy * dy * dq,
+                                         -2.0 * ax * dq, -2.0 * ay * dq]), state, n_px)
+            d_op[sel] += sums[0]
+            d_conic[sel] += sums[1:4].T
+            d_m2d[sel] += sums[4:6].T
         inv = np.empty_like(order)
         inv[order] = np.arange(m_total)
         accumulate_grad(means2d, d_m2d[inv])
@@ -294,7 +365,7 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
     parents = (means2d, conic, colors, opacity, depth) if m_total else ()
     out = record(raw, parents, vjp, "rasterize")
     return out, {"t_final": t_final,
-                 "topk": lambda: _topk_lists(tiles, tile_weights, rows_sorted, height, width, k_top)}
+                 "topk": lambda: _topk_lists(tiles, saved, rows_sorted, height, width, k_top)}
 
 
 def render(

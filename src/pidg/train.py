@@ -284,14 +284,23 @@ class Trainer:
         return row
 
     def run(self, out_dir=None, on_step=None) -> None:
+        """Train to ``config.iterations``, writing checkpoints, ``final.pidg``
+        and ``metrics.csv`` into ``out_dir`` when given. A run that aborts
+        (``TrainingAborted``) still writes ``metrics.csv`` with the rows
+        logged so far before the error propagates."""
         out = pio.ensure_dir(out_dir) if out_dir is not None else None
-        while self.iteration < self.config.iterations:
-            row = self.step()
-            if on_step is not None:
-                on_step(row)
-            if out is not None and (self.iteration % self.config.checkpoint_interval == 0
-                                    or self.iteration == self.config.iterations):
-                self.save_checkpoint(out / f"ckpt_{self.iteration:06d}.pidg")
+        try:
+            while self.iteration < self.config.iterations:
+                row = self.step()
+                if on_step is not None:
+                    on_step(row)
+                if out is not None and (self.iteration % self.config.checkpoint_interval == 0
+                                        or self.iteration == self.config.iterations):
+                    self.save_checkpoint(out / f"ckpt_{self.iteration:06d}.pidg")
+        except TrainingAborted:
+            if out is not None:
+                self.write_metrics(out / "metrics.csv")
+            raise
         if out is not None:
             self.save_checkpoint(out / "final.pidg")
             self.write_metrics(out / "metrics.csv")
@@ -350,7 +359,9 @@ class Trainer:
         return float(err.mean()), int(sel.sum())
 
     def mean_psnr(self) -> float:
-        return self.evaluate()["psnr"]
+        """``evaluate()["psnr"]`` alone: one forward render per training view."""
+        return float(np.mean([psnr(self.render_frame(f).image_np(), self.data.images[f])
+                              for f in range(self.data.frames)]))
 
     def mean_masked_epe(self) -> float:
         return self.evaluate()["masked_epe"]

@@ -227,6 +227,40 @@ def test_parameter_gradients_accumulate_across_backward_calls():
         assert y.grad is None  # intermediates are cleared each sweep
 
 
+def test_grad_of_an_intermediate_input():
+    # the sweep releases intermediate gradients as it goes, but not the
+    # ones asked for
+    with ad.Tape() as tape:
+        x = ad.parameter(np.array([1.0, 2.0]))
+        y = ad.mul(x, x)
+        out = ad.sum_(ad.mul(y, 3.0))
+        gy, gx = tape.grad(out, [y, x])
+    assert np.array_equal(gy, [3.0, 3.0])
+    assert np.array_equal(gx, [6.0, 12.0])
+    assert y.grad is None
+
+
+def test_sweep_releases_each_gradient_after_its_vjp():
+    # when a node's VJP runs, every node swept before it (created after it)
+    # has already released its gradient
+    held = []
+    with ad.Tape() as tape:
+        x = ad.parameter(np.arange(3.0))
+        y = ad.mul(x, x)
+        out = ad.sum_(ad.add(ad.exp(ad.mul(y, 0.1)), y))
+        nodes = list(tape.nodes)
+        for i, node in enumerate(nodes):
+            def probe(g, later=nodes[i + 1:], vjp=node._vjp):
+                held.extend(n.op for n in later if n.grad is not None)
+                vjp(g)
+
+            node._vjp = probe
+        tape.backward(out)
+    assert held == []
+    assert all(n.grad is None for n in nodes)
+    assert np.allclose(x.grad, 2.0 * np.arange(3.0) * (0.1 * np.exp(0.1 * np.arange(3.0) ** 2) + 1.0))
+
+
 def test_backward_rejects_nonscalar_root():
     with ad.Tape() as tape:
         x = ad.parameter(np.ones(3))

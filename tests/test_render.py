@@ -297,3 +297,165 @@ def test_visible_rows_and_positions_world():
     assert 3 not in out.visible_rows
     assert len(out.visible_rows) == 7
     assert np.allclose(out.positions_world, cloud.mu.data[out.visible_rows])
+
+
+# -- the dense per-tile rasterizer, kept as the oracle of the live-pair one ---
+
+
+def _dense_oracle(m2d, conic, cols, op, z, ids, row_map, height, width, settings, g):
+    """The dense per-tile formulation: every (pixel, splat) pair of a tile is
+    composited and differentiated, dead pairs with alpha 0. Returns raw,
+    t_final, top-k rows and weights, and the five input gradients for the
+    upstream gradient ``g``."""
+    m_total, k_top, tile = len(op), settings.top_k, render_module.TILE
+    raw, t_final = np.zeros((height, width, 4)), np.ones((height, width))
+    topk_rows = np.full((height, width, k_top), -1, dtype=np.int64)
+    topk_w = np.zeros((height, width, k_top))
+    d_m2d, d_conic, d_cols = np.zeros((m_total, 2)), np.zeros((m_total, 3)), np.zeros((m_total, 3))
+    d_op, d_z = np.zeros(m_total), np.zeros(m_total)
+    order = np.lexsort((ids, z))
+    mx, my = m2d[order, 0], m2d[order, 1]
+    ca, cb, cc = conic[order, 0], conic[order, 1], conic[order, 2]
+    cols, op, zz, rows_sorted = cols[order], op[order], z[order], np.asarray(row_map)[order]
+    chi2 = settings.support_chi2
+    if np.isfinite(chi2):
+        det_c = ca * cc - cb * cb
+        va, vb, vc2 = cc / det_c, -cb / det_c, ca / det_c
+        mid = 0.5 * (va + vc2)
+        disc = np.sqrt(np.maximum(mid * mid - (va * vc2 - vb * vb), 0.0))
+        radius = np.sqrt(chi2 * np.maximum(mid + disc, 1e-12))
+    else:
+        radius = np.full(m_total, np.inf)
+    for y0 in range(0, height, tile):
+        for x0 in range(0, width, tile):
+            y1, x1 = min(y0 + tile, height), min(x0 + tile, width)
+            sel = np.nonzero((mx + radius >= x0) & (mx - radius <= x1 - 1)
+                             & (my + radius >= y0) & (my - radius <= y1 - 1))[0]
+            ph, pw = y1 - y0, x1 - x0
+            n_px = ph * pw
+            if len(sel) == 0:
+                continue
+            gx, gy = np.meshgrid(np.arange(x0, x1, dtype=np.float64), np.arange(y0, y1, dtype=np.float64))
+            dx = gx.reshape(-1)[:, None] - mx[sel][None, :]
+            dy = gy.reshape(-1)[:, None] - my[sel][None, :]
+            q = ca[sel] * dx * dx + 2.0 * cb[sel] * dx * dy + cc[sel] * dy * dy
+            gauss = np.exp(-0.5 * q)
+            alpha = np.minimum(op[sel] * gauss, ALPHA_MAX)
+            live = (q <= chi2) & (alpha >= settings.alpha_min)
+            alpha = np.where(live, alpha, 0.0)
+            cum = np.cumprod(1.0 - alpha, axis=1)
+            trans = np.concatenate([np.ones((n_px, 1)), cum[:, :-1]], axis=1)
+            w = alpha * trans
+            raw[y0:y1, x0:x1, 0:3] = (w @ cols[sel]).reshape(ph, pw, 3)
+            raw[y0:y1, x0:x1, 3] = (w @ zz[sel]).reshape(ph, pw)
+            t_final[y0:y1, x0:x1] = cum[:, -1].reshape(ph, pw)
+            # top-k lists
+            total = w.sum(axis=1)
+            covered = total > 0.0
+            if np.any(covered):
+                nw = np.zeros_like(w)
+                nw[covered] = w[covered] / total[covered, None]
+                kk = min(k_top, len(sel))
+                sel_sorted = np.argsort(-nw, axis=1, kind="stable")[:, :kk]
+                picked = np.take_along_axis(nw, sel_sorted, axis=1)
+                rows = rows_sorted[sel][sel_sorted]
+                rows[picked <= 0.0] = -1
+                topk_rows[y0:y1, x0:x1, :kk] = rows.reshape(ph, pw, kk)
+                topk_w[y0:y1, x0:x1, :kk] = np.where(picked > 0.0, picked, 0.0).reshape(ph, pw, kk)
+            # backward
+            gi = g[y0:y1, x0:x1, 0:3].reshape(-1, 3)
+            gd = g[y0:y1, x0:x1, 3].reshape(-1)
+            dw = gi @ cols[sel].T + gd[:, None] * zz[sel][None, :]
+            d_cols[sel] += w.T @ gi
+            d_z[sel] += w.T @ gd
+            contrib = dw * w
+            suffix = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1] - contrib
+            dalpha = dw * trans - suffix / (1.0 - alpha)
+            dalpha = np.where(live & (alpha < ALPHA_MAX), dalpha, 0.0)
+            d_op[sel] += (gauss * dalpha).sum(axis=0)
+            dq = -0.5 * gauss * op[sel] * dalpha
+            d_conic[sel, 0] += (dx * dx * dq).sum(axis=0)
+            d_conic[sel, 1] += (2.0 * dx * dy * dq).sum(axis=0)
+            d_conic[sel, 2] += (dy * dy * dq).sum(axis=0)
+            ax = ca[sel] * dx + cb[sel] * dy
+            ay = cb[sel] * dx + cc[sel] * dy
+            d_m2d[sel, 0] += (-2.0 * ax * dq).sum(axis=0)
+            d_m2d[sel, 1] += (-2.0 * ay * dq).sum(axis=0)
+    inv = np.empty_like(order)
+    inv[order] = np.arange(m_total)
+    grads = (d_m2d[inv], d_conic[inv], d_cols[inv], d_op[inv], d_z[inv])
+    return raw, t_final, topk_rows, topk_w, grads
+
+
+def _splats(rng, n, height, width, scale=(1.0, 4.0), opacity=(0.05, 0.95)):
+    """Random rasterizer inputs: means, conics of random 2D covariances
+    (pixels), colours, opacities and distinct depths, with ids and rows."""
+    m2d = np.column_stack([rng.uniform(-4.0, width + 4.0, n), rng.uniform(-4.0, height + 4.0, n)])
+    sd = rng.uniform(*scale, (n, 2))
+    ang = rng.uniform(0.0, np.pi, n)
+    c, s = np.cos(ang), np.sin(ang)
+    a = (c * sd[:, 0]) ** 2 + (s * sd[:, 1]) ** 2
+    b = c * s * (sd[:, 0] ** 2 - sd[:, 1] ** 2)
+    d = (s * sd[:, 0]) ** 2 + (c * sd[:, 1]) ** 2
+    det = a * d - b * b
+    conic = np.column_stack([d / det, -b / det, a / det])
+    return {"m2d": m2d, "conic": conic, "cols": rng.uniform(0.0, 1.0, (n, 3)),
+            "op": rng.uniform(*opacity, n), "z": rng.uniform(1.0, 3.0, n),
+            "ids": rng.permutation(n), "row_map": rng.permutation(n) + 7}
+
+
+def _check_against_oracle(case, height, width, settings, rng):
+    g = rng.normal(size=(height, width, 4))
+    inputs = [ad.parameter(case[k]) for k in ("m2d", "conic", "cols", "op", "z")]
+    with ad.Tape():
+        raw, aux = render_module.rasterize(*inputs, case["ids"], case["row_map"], height, width, settings)
+    if raw._vjp is not None:
+        raw._vjp(g)
+    want_raw, want_tf, want_rows, want_w, want_grads = _dense_oracle(
+        *(case[k] for k in ("m2d", "conic", "cols", "op", "z", "ids", "row_map")),
+        height, width, settings, g)
+    rows, weights = aux["topk"]()
+    assert np.array_equal(raw.data, want_raw)
+    assert np.array_equal(aux["t_final"], want_tf)
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(weights, want_w)
+    for name, x, want in zip(("means2d", "conic", "colors", "opacity", "depth"), inputs, want_grads):
+        got = x.grad if x.grad is not None else np.zeros_like(x.data)
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_live_pairs_match_dense_oracle_over_several_tiles(seed):
+    rng = np.random.default_rng(100 + seed)
+    case = _splats(rng, 60, 40, 56)
+    _check_against_oracle(case, 40, 56, RenderSettings(top_k=4), rng)
+
+
+def test_live_pairs_match_dense_oracle_with_one_contributor_tile():
+    # numpy sums a one-column tile pairwise, not pixel by pixel: the splat
+    # alone in the first tile must reproduce that order
+    rng = np.random.default_rng(110)
+    case = _splats(rng, 8, 32, 32, scale=(1.0, 2.0))
+    case["m2d"][0] = (7.5, 7.5)
+    case["conic"][0] = (0.09, 0.01, 0.07)
+    case["m2d"][1:] = rng.uniform(24.0, 32.0, (7, 2))
+    _check_against_oracle(case, 32, 32, RenderSettings(), rng)
+
+
+def test_live_pairs_match_dense_oracle_at_the_alpha_clamp():
+    rng = np.random.default_rng(111)
+    case = _splats(rng, 30, 32, 32, scale=(2.0, 5.0), opacity=(0.9995, 0.99999))
+    case["m2d"] = np.round(case["m2d"])  # q = 0 at the pixel under each mean: alpha clamps there
+    _check_against_oracle(case, 32, 32, RenderSettings(), rng)
+
+
+def test_live_pairs_match_dense_oracle_with_unbounded_support():
+    rng = np.random.default_rng(112)
+    case = _splats(rng, 25, 24, 40)
+    _check_against_oracle(case, 24, 40, RenderSettings(support_chi2=np.inf, alpha_min=0.0), rng)
+
+
+def test_live_pairs_match_dense_oracle_with_zero_rows():
+    rng = np.random.default_rng(113)
+    case = {k: v[:0] for k, v in _splats(rng, 3, 16, 16).items()}
+    _check_against_oracle(case, 16, 16, RenderSettings(), rng)

@@ -195,6 +195,22 @@ def test_abort_reports_iteration():
         tr.step()
 
 
+def test_aborted_run_writes_the_metrics_logged_so_far(tmp_path):
+    data = tiny_data()
+    tr = Trainer(tiny_config(iterations=4, log_interval=1), data)
+
+    def poison(row):
+        if row["iter"] == 1:
+            tr.cloud.sh.data[:] = np.inf
+
+    with pytest.raises(TrainingAborted, match="iteration 2"):
+        tr.run(out_dir=tmp_path / "out", on_step=poison)
+    lines = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
+    assert lines[0] == METRICS_HEADER
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+    assert not (tmp_path / "out" / "final.pidg").exists()
+
+
 # -- persistence ----------------------------------------------------------------
 
 def test_checkpoint_load_save_identity(tmp_path):
@@ -290,6 +306,13 @@ def test_eval_render_holds_no_backward_state():
     trainer.cloud.mu.data[0] = np.nan  # the render still runs under a finite-checking tape
     with pytest.raises(ad.NonFiniteError):
         trainer.render_frame(1)
+
+def test_mean_psnr_is_the_evaluate_psnr():
+    tr = Trainer(tiny_config(), tiny_data())
+    assert tr.mean_psnr() == tr.evaluate()["psnr"]
+    tr.run()  # into stage 2, where static particles skip the deformation
+    assert tr.mean_psnr() == tr.evaluate()["psnr"]
+
 
 def test_mean_residual_leaves_training_rng_alone(tmp_path):
     data = tiny_data()
