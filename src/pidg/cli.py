@@ -25,6 +25,8 @@ from .render import RenderSettings, render
 from .synth import SceneSpec, generate, load_scene, write_scene
 from .train import Trainer, TrainingAborted, load_model
 
+QUIVER_GAIN = 4.0  # quiver arrows are this many times the motion they show
+
 
 def cmd_synth(args) -> int:
     if args.config:
@@ -196,12 +198,11 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _draw_quiver(image: np.ndarray, means2d: np.ndarray, vel2d: np.ndarray, dt: float,
-                 gain: float = 4.0) -> np.ndarray:
-    """Burn velocity arrows into a copy of the image (red segments, white tips)."""
+def _draw_quiver(image: np.ndarray, means2d: np.ndarray, vel2d: np.ndarray, dt: float) -> np.ndarray:
+    """Burn velocity arrows (red segments, white tips) into a copy of the image."""
     img = image.copy()
     h, w = img.shape[:2]
-    for (u, v), (du, dv) in zip(means2d, vel2d * dt * gain):
+    for (u, v), (du, dv) in zip(means2d, vel2d * dt * QUIVER_GAIN):
         steps = int(max(abs(du), abs(dv), 1.0)) * 2
         for s in range(steps + 1):
             x = int(round(u + du * s / steps))

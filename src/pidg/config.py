@@ -1,9 +1,11 @@
 """Run configuration: one validated, JSON-serializable object.
 
-Defaults are the desk-scale settings used by the end-to-end tests; the field
-subsections mirror the deformation/material constructors, so full-scale
-hyperparameters from the underlying method are a config edit, not a code
-edit. ``validate`` returns *all* problems at once — a run never starts with a
+Every setting has one default, here or in the field configs
+(``DeformConfig``, ``MaterialConfig``): the desk-scale values the end-to-end
+tests use. A JSON config names only what it changes, nested field sections
+included; the rest keep their defaults. Full-scale hyperparameters from the
+underlying method are a config edit (see the README), not a code edit.
+``validate`` returns *all* problems at once — a run never starts with a
 half-checked config.
 """
 
@@ -16,21 +18,6 @@ from .deform import DeformConfig
 from .material import MaterialConfig
 
 ABLATIONS = ("none", "no-lpfm", "no-physics")
-
-
-def desk_deform_config() -> DeformConfig:
-    return DeformConfig(
-        spatial_levels=6, spatial_base=8, spatial_max=96,
-        temporal_levels=6, time_base=2, time_max=4,
-        table_size_log2=15, feature_dim=2, attn_width=32, hidden_width=64,
-    )
-
-
-def desk_material_config() -> MaterialConfig:
-    return MaterialConfig(
-        plane_levels=3, plane_base=8, plane_max=48, table_size=4096,
-        fourier_n=4, embed_dim=16, hidden_width=64,
-    )
 
 
 @dataclass
@@ -72,8 +59,8 @@ class RunConfig:
     grid_lr_multiplier: float = 20.0
     lr_material: float = 2e-3
     # field hyperparameters
-    deform: DeformConfig = field(default_factory=desk_deform_config)
-    material: MaterialConfig = field(default_factory=desk_material_config)
+    deform: DeformConfig = field(default_factory=DeformConfig)
+    material: MaterialConfig = field(default_factory=MaterialConfig)
 
     def validate(self) -> list[str]:
         e = []
@@ -98,6 +85,8 @@ class RunConfig:
             e.append("max_particles must be >= init_particles")
         if self.log_interval < 1 or self.checkpoint_interval < 1:
             e.append("log and checkpoint intervals must be >= 1")
+        if self.densify_interval < 1:
+            e.append("densify_interval must be >= 1")
         if not 0.0 <= self.dynamic_fraction <= 1.0:
             e.append("dynamic_fraction must be in [0, 1]")
         for name in ("lr_position", "lr_sh", "lr_opacity", "lr_scale", "lr_rotation",
@@ -106,10 +95,11 @@ class RunConfig:
                 e.append(f"{name} must be > 0")
         if self.grid_lr_multiplier <= 0.0:
             e.append("grid_lr_multiplier must be > 0")
-        if self.deform.feature_dim < 1:
-            e.append("deform.feature_dim must be >= 1")
-        if self.material.fourier_n < 1:
-            e.append("material.fourier_n must be >= 1")
+        for name in ("deform.spatial_levels", "deform.temporal_levels", "deform.feature_dim",
+                     "material.plane_levels", "material.fourier_n"):
+            section, key = name.split(".")
+            if getattr(getattr(self, section), key) < 1:
+                e.append(f"{name} must be >= 1")
         return e
 
     def require_valid(self) -> "RunConfig":
@@ -129,15 +119,13 @@ class RunConfig:
         return cmr, lpfm
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         d = dict(d)
-        deform = DeformConfig(**d.pop("deform")) if "deform" in d else desk_deform_config()
-        material = MaterialConfig(**d.pop("material")) if "material" in d else desk_material_config()
-        cfg = cls(deform=deform, material=material)
+        cfg = cls(deform=DeformConfig(**d.pop("deform", {})),
+                  material=MaterialConfig(**d.pop("material", {})))
         for k, v in d.items():
             if not hasattr(cfg, k):
                 raise ValueError(f"unknown config field {k!r}")

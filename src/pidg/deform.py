@@ -29,20 +29,20 @@ from .scene import normalize_quaternions, rotation_matrices
 class DeformConfig:
     """Encoder/decoder sizes.
 
-    Defaults are full-scale values; note they allocate hundreds of MB of
-    tables. Desk-scale runs pass something smaller (see the trainer config).
+    Defaults are the desk scale every run uses; the README gives the
+    full-scale sizes of the underlying method as a run-config edit.
     """
 
-    spatial_levels: int = 16
-    spatial_base: int = 16
-    spatial_max: int = 2048
-    temporal_levels: int = 32
-    time_base: int = 16
-    time_max: int = 16  # typically half the frame count
-    table_size_log2: int = 19
+    spatial_levels: int = 6
+    spatial_base: int = 8
+    spatial_max: int = 96
+    temporal_levels: int = 6
+    time_base: int = 2
+    time_max: int = 4  # typically half the frame count
+    table_size_log2: int = 15
     feature_dim: int = 2
-    attn_width: int = 64
-    hidden_width: int = 256
+    attn_width: int = 32
+    hidden_width: int = 64
 
 
 class DeformationField:

@@ -24,6 +24,7 @@ from .autodiff import Tensor, accumulate_grad, parameter, record, scatter_add
 
 PRIMES = (1, 2654435761, 805459861)
 _M32 = np.int64(0xFFFFFFFF)
+INIT_SCALE = 1e-4  # table entries start uniform in [-INIT_SCALE, INIT_SCALE]
 
 
 def hash_vertices(ix, iy, iz, table_size: int) -> np.ndarray:
@@ -96,7 +97,7 @@ class _LevelTables:
 
     dim = 0
 
-    def __init__(self, level_res, table_size: int, entry_shape: tuple, rng, init_scale: float):
+    def __init__(self, level_res, table_size: int, entry_shape: tuple, rng):
         self.table_size = int(table_size)
         self.level_res = [tuple(int(r) for r in res) for res in level_res]
         for res in self.level_res:
@@ -104,7 +105,7 @@ class _LevelTables:
                 raise ValueError("grid level needs at least 2 vertices per axis")
         self.dense = [int(np.prod(res)) <= self.table_size for res in self.level_res]
         self.tables = [
-            parameter(rng.uniform(-init_scale, init_scale, (min(int(np.prod(res)), self.table_size), *entry_shape)))
+            parameter(rng.uniform(-INIT_SCALE, INIT_SCALE, (min(int(np.prod(res)), self.table_size), *entry_shape)))
             for res in self.level_res
         ]
 
@@ -129,9 +130,9 @@ class MultiResHashGrid3D(_LevelTables):
 
     dim = 3
 
-    def __init__(self, level_res, table_size: int, feature_dim: int, rng, init_scale: float = 1e-4):
+    def __init__(self, level_res, table_size: int, feature_dim: int, rng):
         self.feature_dim = int(feature_dim)
-        super().__init__(level_res, table_size, (self.feature_dim,), rng, init_scale)
+        super().__init__(level_res, table_size, (self.feature_dim,), rng)
 
     @property
     def num_levels(self) -> int:
@@ -192,8 +193,8 @@ class PlaneGrid2D(_LevelTables):
 
     dim = 2
 
-    def __init__(self, level_res, table_size: int, rng, init_scale: float = 1e-4):
-        super().__init__(level_res, table_size, (), rng, init_scale)
+    def __init__(self, level_res, table_size: int, rng):
+        super().__init__(level_res, table_size, (), rng)
 
     def interpolate(self, coords: Tensor, with_partials: bool = False):
         """Summed bilinear interpolation at (N, 2) points in [0,1]^2.

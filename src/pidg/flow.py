@@ -345,7 +345,7 @@ def frame_pair_flows(out_t, out_t1, ids: np.ndarray, material, normalizer):
 
 
 def lpfm_loss(flow_g: SparseFlow, flow_v: SparseFlow, flow_gt: FlowField, mask: np.ndarray,
-              lambda_g: float = 0.5, lambda_v: float = 0.5) -> Tensor:
+              lambda_g: float, lambda_v: float) -> Tensor:
     """Mean L1 flow-matching loss over valid, motion-masked pixels.
 
     Both predictions must come from the same render (same covered pixels).

@@ -16,12 +16,16 @@ from .autodiff import Tensor, record
 
 _C1 = 0.01**2
 _C2 = 0.03**2
+PSNR_CAP = 99.0  # dB, what ``psnr`` reports for identical images
 
 
-def gaussian_kernel(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     r = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     k = np.exp(-0.5 * (r / sigma) ** 2)
     return k / k.sum()
+
+
+SSIM_WINDOW = gaussian_kernel(11, 1.5)
 
 
 def _corr_valid(x: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
@@ -49,12 +53,12 @@ def blur_valid(img: Tensor, kernel: np.ndarray) -> Tensor:
     return record(out, (img,), vjp, "blur_valid")
 
 
-def ssim(img: Tensor, target: np.ndarray, kernel_size: int = 11, sigma: float = 1.5) -> Tensor:
+def ssim(img: Tensor, target: np.ndarray) -> Tensor:
     """Mean SSIM between a rendered image tensor and a fixed target (H, W, C)."""
     y = np.asarray(target, dtype=np.float64)
     if y.shape != img.data.shape:
         raise ValueError("image and target shapes differ")
-    k = gaussian_kernel(kernel_size, sigma)
+    k = SSIM_WINDOW
     mu_y = _corr_valid(_corr_valid(y, k, 0), k, 1)
     var_y = _corr_valid(_corr_valid(y * y, k, 0), k, 1) - mu_y**2
 
@@ -72,15 +76,15 @@ def l1(img: Tensor, target: np.ndarray) -> Tensor:
     return ad.mean(ad.abs_(ad.sub(img, np.asarray(target, dtype=np.float64))))
 
 
-def renders_loss(img: Tensor, target: np.ndarray, lambda_dssim: float = 0.2) -> Tensor:
+def renders_loss(img: Tensor, target: np.ndarray, lambda_dssim: float) -> Tensor:
     """(1 - lambda) * L1 + lambda * (1 - SSIM) / 2."""
     dssim = ad.mul(ad.sub(1.0, ssim(img, target)), 0.5)
     return ad.add(ad.mul(l1(img, target), 1.0 - lambda_dssim), ad.mul(dssim, lambda_dssim))
 
 
-def psnr(a: np.ndarray, b: np.ndarray, cap: float = 99.0) -> float:
-    """Peak signal-to-noise ratio in dB for unit-range images, capped."""
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """Peak signal-to-noise ratio in dB for unit-range images, capped at PSNR_CAP."""
     mse = float(np.mean((np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)) ** 2))
     if mse <= 0.0:
-        return cap
-    return min(cap, 10.0 * np.log10(1.0 / mse))
+        return PSNR_CAP
+    return min(PSNR_CAP, 10.0 * np.log10(1.0 / mse))

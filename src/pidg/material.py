@@ -46,13 +46,15 @@ PLANE_AXES = (
 
 @dataclass
 class MaterialConfig:
-    plane_levels: int = 4
-    plane_base: int = 16
-    plane_max: int = 256
-    table_size: int = 65536  # 256^2 -> every default level stays dense
-    fourier_n: int = 6
-    embed_dim: int = 64
-    hidden_width: int = 256
+    """Field sizes and density; defaults are the desk scale every run uses."""
+
+    plane_levels: int = 3
+    plane_base: int = 8
+    plane_max: int = 48
+    table_size: int = 4096  # >= 48^2, so every default level stays dense
+    fourier_n: int = 4
+    embed_dim: int = 16
+    hidden_width: int = 64
     rho: float = 1.0
 
 
@@ -81,9 +83,8 @@ def fourier_time_tangent(t: np.ndarray, n: int) -> np.ndarray:
 class MaterialField:
     """Plane-hash + Fourier + id-embedding field decoding to (velocity, stress)."""
 
-    def __init__(self, num_particles: int, rng, config: MaterialConfig | None = None):
-        cfg = config or MaterialConfig()
-        self.config = cfg
+    def __init__(self, num_particles: int, rng, config: MaterialConfig):
+        cfg = self.config = config
         self.rho = float(cfg.rho)
         res = geometric_levels(cfg.plane_base, cfg.plane_max, cfg.plane_levels)
         self.planes = {name: PlaneGrid2D([(r, r) for r in res], cfg.table_size, rng) for name, _, _ in PLANE_AXES}

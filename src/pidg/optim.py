@@ -14,11 +14,12 @@ import numpy as np
 from .autodiff import Tensor
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+DECAY_FACTOR, DECAY_PERIOD = 0.1, 0.4  # ``exp_decay``: one decade per 40% of the run
+
+
 class Adam:
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
+    def __init__(self):
         self.slots: dict[str, dict] = {}
 
     def register(self, name: str, param: Tensor) -> None:
@@ -53,11 +54,11 @@ class Adam:
                 continue
             live = ~freeze_rows[name] if name in freeze_rows else slice(None)
             m, v, t = slot["m"], slot["v"], slot["t"]
-            m[live] = self.beta1 * m[live] + (1.0 - self.beta1) * g[live]
-            v[live] = self.beta2 * v[live] + (1.0 - self.beta2) * g[live] ** 2
-            mhat = m[live] / (1.0 - self.beta1**t)
-            vhat = v[live] / (1.0 - self.beta2**t)
-            p.data[live] -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            m[live] = BETA1 * m[live] + (1.0 - BETA1) * g[live]
+            v[live] = BETA2 * v[live] + (1.0 - BETA2) * g[live] ** 2
+            mhat = m[live] / (1.0 - BETA1**t)
+            vhat = v[live] / (1.0 - BETA2**t)
+            p.data[live] -= lr * mhat / (np.sqrt(vhat) + EPS)
 
     def remap_rows(self, name: str, kept_rows: np.ndarray, n_appended: int) -> None:
         """Reorder state after a row edit: kept rows first, fresh rows zeroed."""
@@ -84,7 +85,6 @@ class Adam:
             slot["t"] = int(np.asarray(arrays[f"{name}.t"]).item())
 
 
-def exp_decay(base: float, iteration: int, total: int, factor: float = 0.1,
-              period_fraction: float = 0.4) -> float:
-    """base * factor^(i / (period_fraction * total)) — one decade per period."""
-    return base * factor ** (iteration / (period_fraction * total))
+def exp_decay(iteration: int, total: int) -> float:
+    """DECAY_FACTOR^(i / (DECAY_PERIOD * total)): 1 at the start, then one decade per period."""
+    return DECAY_FACTOR ** (iteration / (DECAY_PERIOD * total))

@@ -27,13 +27,14 @@ from .jets import JetVec
 STRESS_COMPONENTS = ("xx", "yy", "zz", "xy", "xz", "yz")
 # _SIGMA_COLS[i][j] -> packed column holding sigma_ij
 _SIGMA_COLS = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+RIGID_STRAIN_TOL = 1e-9  # largest strain component ``rigid_stress`` accepts
 
 
 def _col(t: Tensor, j: int) -> Tensor:
     return ad.getitem(t, (slice(None), j))
 
 
-def momentum_residual(vel: JetVec, sigma: JetVec, rho: float = 1.0, include_advection: bool = True) -> Tensor:
+def momentum_residual(vel: JetVec, sigma: JetVec, rho: float, include_advection: bool) -> Tensor:
     """Residual (N, 3) of the Cauchy momentum balance, zero when it holds."""
     spatial = vel.partials()[:3]
     rows = []
@@ -67,7 +68,7 @@ def _id_blocks(ids: np.ndarray, block_size: int):
     return [order[s:s + block_size] for s in range(0, order.size, block_size)]
 
 
-def block_sampled_cmr(field, points: np.ndarray, ids: np.ndarray, block_size: int = 1024,
+def block_sampled_cmr(field, points: np.ndarray, ids: np.ndarray, block_size: int,
                       include_advection: bool = True,
                       sample_count: int | None = None, rng=None,
                       backward_scale: float | None = None) -> float | Tensor:
@@ -121,10 +122,10 @@ def ideal_fluid_stress(pressure: float) -> np.ndarray:
     return -float(pressure) * np.eye(3)
 
 
-def rigid_stress(strain: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Rigid motion produces no strain; verifies e ~ 0 and returns zero stress."""
+def rigid_stress(strain: np.ndarray) -> np.ndarray:
+    """Rigid motion produces no strain; checks |e| <= RIGID_STRAIN_TOL, returns zero stress."""
     e = np.asarray(strain, dtype=np.float64)
-    if np.abs(e).max() > tol:
+    if np.abs(e).max() > RIGID_STRAIN_TOL:
         raise ValueError("rigid body cannot carry nonzero strain")
     return np.zeros((3, 3))
 

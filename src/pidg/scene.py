@@ -15,6 +15,11 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
+PERCENT_DENSE = 0.01  # a hot particle wider than this fraction of the scene extent splits
+SPLIT_FACTOR = 1.6  # a split child's scales are its parent's divided by this
+INIT_COLOR = 0.35  # the gray of ``GaussianCloud.random_init``
+
+
 class DegenerateRotationError(ValueError):
     """Quaternion norm fell below 1e-8; no rotation can be recovered."""
 
@@ -82,7 +87,7 @@ class GaussianCloud:
         return {name: getattr(self, name) for name in self.PARAMS}
 
     @classmethod
-    def random_init(cls, rng, count, center, radius, base_scale, opacity=0.1, color=0.35):
+    def random_init(cls, rng, count, center, radius, base_scale, opacity=0.1):
         """Particles uniform in a ball, axis-aligned, mid-gray, shared opacity."""
         d = rng.normal(size=(count, 3))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
@@ -92,7 +97,7 @@ class GaussianCloud:
         quat[:, 0] = 1.0
         log_scale = np.full((count, 3), np.log(base_scale))
         sh = np.zeros((count, 4, 3))
-        sh[:, 0, :] = (color - 0.5) / SH_C0
+        sh[:, 0, :] = (INIT_COLOR - 0.5) / SH_C0
         logit = np.full(count, _logit(opacity))
         return cls(mu, quat, log_scale, sh, logit, np.arange(count))
 
@@ -118,7 +123,7 @@ def _logit(p: float) -> float:
     return float(np.log(p / (1.0 - p)))
 
 
-def prune_mask(cloud: GaussianCloud, scale_threshold: float, scene_extent: float, min_opacity: float = 0.005) -> np.ndarray:
+def prune_mask(cloud: GaussianCloud, scale_threshold: float, scene_extent: float, min_opacity: float) -> np.ndarray:
     """Boolean mask of particles to remove: overgrown or effectively invisible.
 
     A particle is overgrown when its largest world-space scale exceeds
@@ -139,15 +144,13 @@ def densify_and_prune(
     rng,
     grad_threshold: float,
     scene_extent: float,
-    percent_dense: float = 0.01,
-    scale_threshold: float = 0.015,
-    min_opacity: float = 0.005,
-    split_factor: float = 1.6,
+    scale_threshold: float,
+    min_opacity: float,
 ):
     """Clone small / split large high-gradient particles, then prune.
 
     Children take the parent's id. Split children sample their position from
-    the parent's own ellipsoid and shrink each scale by ``split_factor``; the
+    the parent's own ellipsoid and shrink each scale by ``SPLIT_FACTOR``; the
     parent row is retired. Returns (kept_old_rows, n_appended): the surviving
     original rows in order, followed by that many appended child rows, which
     is what an optimizer needs to carry its per-row state across the edit.
@@ -156,7 +159,7 @@ def densify_and_prune(
     grad_norms = np.asarray(grad_norms, dtype=np.float64)
     max_scale = self_max_scale(cloud)
     hot = grad_norms >= grad_threshold
-    split = hot & (max_scale > percent_dense * scene_extent)
+    split = hot & (max_scale > PERCENT_DENSE * scene_extent)
     clone = hot & ~split
 
     arrays = {k: v.data for k, v in cloud.params.items()}
@@ -190,7 +193,7 @@ def densify_and_prune(
             if k == "mu":
                 new_chunks[k].append(mu)
             elif k == "log_scale":
-                new_chunks[k].append(log_scale - np.log(split_factor))
+                new_chunks[k].append(log_scale - np.log(SPLIT_FACTOR))
             else:
                 new_chunks[k].append(arrays[k][reps].copy())
         new_ids.append(cloud.ids[reps])
@@ -257,7 +260,7 @@ class SceneNormalizer:
         return cls(d["center"], d["scale"])
 
 
-def partition_dynamic(positions_per_frame, masks, cameras, fraction: float = 0.3) -> np.ndarray:
+def partition_dynamic(positions_per_frame, masks, cameras, fraction: float) -> np.ndarray:
     """Label particles dynamic when their projected center lands in the motion
     mask in at least ``fraction`` of the frames where it is visible.
 

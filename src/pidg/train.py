@@ -126,7 +126,7 @@ class Trainer:
 
     def _rates(self) -> dict[str, float]:
         cfg = self.config
-        decay = exp_decay(1.0, self.iteration, cfg.iterations)
+        decay = exp_decay(self.iteration, cfg.iterations)
         rates = {
             "cloud.mu": cfg.lr_position * self.normalizer.scale * decay,
             "cloud.quat": cfg.lr_rotation,
@@ -321,42 +321,43 @@ class Trainer:
                           settings=self.settings, respect_dynamic_mask=self.stage() == 2)
 
     def evaluate(self) -> dict:
-        """Mean PSNR, SSIM and masked flow EPE over the training views.
+        """Mean PSNR, SSIM and masked flow EPE over the training views, from
+        one render of each frame."""
+        psnrs, ssims = [], []
 
-        One sweep renders each frame once: frame f gives its PSNR and SSIM
-        and, with the held render of frame f-1, the masked EPE of the pair
-        (f-1, f), whose Gaussian flow is compared with the supervision flow
-        inside the motion mask. At most two renders are held at a time.
-        """
-        psnrs, ssims, errs, counts = [], [], [], []
-        prev = None
-        for f in range(self.data.frames):
-            out = self.render_frame(f)
-            image = out.image_np()
+        def score(f, image):
             psnrs.append(psnr(image, self.data.images[f]))
             with ad.Tape():
                 ssims.append(float(ssim(ad.constant(image), self.data.images[f]).data))
+
+        epe = self._epe_sweep(score)
+        return {"psnr": float(np.mean(psnrs)), "ssim": float(np.mean(ssims)), "masked_epe": epe}
+
+    def _epe_sweep(self, score=None) -> float:
+        """Render each frame once and return the masked EPE over all frame pairs.
+
+        With the held render of frame f-1, frame f gives the pair's Gaussian
+        flow, compared with the supervision flow at I_{f-1} inside its motion
+        mask; at most two renders are held at a time. ``score(f, image)``,
+        when given, sees each frame's image as it is rendered.
+        """
+        errs, counts, prev = [], [], None
+        for f in range(self.data.frames):
+            out = self.render_frame(f)
+            if score is not None:
+                score(f, out.image_np())
             if prev is not None:
-                err, n = self._masked_epe(prev, out, f - 1)
-                if n:
-                    errs.append(err * n)
+                with ad.Tape():
+                    flow_g = gaussian_flow(prev, out)
+                gt, mask, v, u = self._gt_flow(f - 1), self.data.masks[f - 1], flow_g.pix_v, flow_g.pix_u
+                sel = flow_g.valid & gt.valid[v, u] & (mask[v, u] > 0)
+                if sel.any():
+                    n = int(sel.sum())
+                    err = np.linalg.norm(flow_g.vec.data[sel] - gt.vectors[v[sel], u[sel]], axis=1)
+                    errs.append(float(err.mean()) * n)
                     counts.append(n)
             prev = out
-        return {"psnr": float(np.mean(psnrs)), "ssim": float(np.mean(ssims)),
-                "masked_epe": float(np.sum(errs) / np.sum(counts)) if counts else 0.0}
-
-    def _masked_epe(self, out, out1, f: int) -> tuple[float, int]:
-        """Mean endpoint error of the pair's Gaussian flow vs the supervision
-        flow at I_f, and the number of pixels it averages."""
-        with ad.Tape():
-            flow_g = gaussian_flow(out, out1)
-        gt = self._gt_flow(f)
-        sel = (flow_g.valid & gt.valid[flow_g.pix_v, flow_g.pix_u]
-               & (self.data.masks[f][flow_g.pix_v, flow_g.pix_u] > 0))
-        if not sel.any():
-            return 0.0, 0
-        err = np.linalg.norm(flow_g.vec.data[sel] - gt.vectors[flow_g.pix_v[sel], flow_g.pix_u[sel]], axis=1)
-        return float(err.mean()), int(sel.sum())
+        return float(np.sum(errs) / np.sum(counts)) if counts else 0.0
 
     def mean_psnr(self) -> float:
         """``evaluate()["psnr"]`` alone: one forward render per training view."""
@@ -364,7 +365,8 @@ class Trainer:
                               for f in range(self.data.frames)]))
 
     def mean_masked_epe(self) -> float:
-        return self.evaluate()["masked_epe"]
+        """``evaluate()["masked_epe"]`` alone: renders and pair EPEs, no image scores."""
+        return self._epe_sweep()
 
     def mean_residual(self, samples: int = 512, t: float = 0.5) -> float:
         """Mean momentum-residual magnitude at particle samples (diagnostic).
@@ -383,7 +385,7 @@ class Trainer:
         with ad.Tape(keep_graph=False):
             vel, sig = self.material.evaluate_with_jets(
                 self.normalizer.unit4_np(world, t), self.cloud.ids[sel])
-            r = momentum_residual(vel, sig, rho=self.config.material.rho,
+            r = momentum_residual(vel, sig, rho=self.material.rho,
                                   include_advection=self.config.cmr_include_advection)
             mags = np.linalg.norm(r.data, axis=1)
         return float(mags.mean())

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import pidg.autodiff as ad
-from pidg.config import desk_deform_config
 from pidg.deform import DeformConfig, DeformationField
 
 
@@ -142,7 +141,7 @@ def test_field_gradients_match_fd():
 
 def test_desk_config_entry_counts():
     rng = np.random.default_rng(9)
-    field = DeformationField(desk_deform_config(), rng)
+    field = DeformationField(DeformConfig(), rng)
     assert set(field.grids) == {"g_xyz", "g_xyt", "g_yzt", "g_xzt"}
     # every level is capped by the hash table size
     for name, grid in field.grids.items():

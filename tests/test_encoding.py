@@ -17,6 +17,13 @@ from pidg.encoding import (
 _M32 = (1 << 32) - 1
 
 
+def _spread_tables(grid, rng):
+    """Redraw every table uniform in [-0.5, 0.5], so slopes are far from flat."""
+    for t in grid.tables:
+        t.data = rng.uniform(-0.5, 0.5, t.data.shape)
+    return grid
+
+
 def test_hash_matches_independent_reference():
     # scalar re-implementation of the xor'd-primes scheme, mod table size
     rng = np.random.default_rng(0)
@@ -120,7 +127,7 @@ def test_grid_table_gradients_match_fd(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_grid_coordinate_gradients_match_fd(seed):
     rng = np.random.default_rng(20 + seed)
-    grid = MultiResHashGrid3D([(5, 5, 5)], table_size=256, feature_dim=2, rng=rng, init_scale=0.5)
+    grid = _spread_tables(MultiResHashGrid3D([(5, 5, 5)], table_size=256, feature_dim=2, rng=rng), rng)
     pts = rng.uniform(0.1, 0.9, (4, 3))
     w = rng.normal(size=(4, grid.out_dim))
 
@@ -146,7 +153,7 @@ def test_grid_coordinate_gradients_match_fd(seed):
 
 def test_plane_partials_match_fd():
     rng = np.random.default_rng(30)
-    plane = PlaneGrid2D([(4, 4), (16, 16)], table_size=256, rng=rng, init_scale=0.5)
+    plane = _spread_tables(PlaneGrid2D([(4, 4), (16, 16)], table_size=256, rng=rng), rng)
     pts = rng.uniform(0.1, 0.9, (5, 2))
     with ad.Tape():
         val, du, dv = plane.interpolate(ad.constant(pts), with_partials=True)
@@ -166,7 +173,7 @@ def test_plane_partials_match_fd():
 def test_plane_partial_table_gradients_match_fd():
     # gradient THROUGH the partial derivatives (a loss on du must reach tables)
     rng = np.random.default_rng(31)
-    plane = PlaneGrid2D([(5, 5)], table_size=64, rng=rng, init_scale=0.5)
+    plane = _spread_tables(PlaneGrid2D([(5, 5)], table_size=64, rng=rng), rng)
     pts = rng.uniform(0.15, 0.85, (3, 2))
     w = rng.normal(size=3)
 
@@ -279,8 +286,8 @@ def _collides(keys, slots):
 
 def test_grid_matches_per_corner_oracle_bit_for_bit():
     rng = np.random.default_rng(40)
-    grid = MultiResHashGrid3D([(3, 3, 3), (40, 40, 40)], table_size=64, feature_dim=2, rng=rng,
-                              init_scale=0.5)
+    grid = _spread_tables(MultiResHashGrid3D([(3, 3, 3), (40, 40, 40)], table_size=64, feature_dim=2,
+                                             rng=rng), rng)
     assert grid.dense == [True, False]
     pts = rng.uniform(0.0, 1.0, (400, 3))
     pts[:5] = [[0, 0, 0], [1, 1, 1], [0.5, 0.5, 0.5], [1, 0, 1], [0.25, 1, 0]]  # cell edges
@@ -302,7 +309,7 @@ def test_grid_matches_per_corner_oracle_bit_for_bit():
 @pytest.mark.parametrize("output", [0, 1, 2])
 def test_plane_matches_per_corner_oracle_bit_for_bit(output):
     rng = np.random.default_rng(41)
-    plane = PlaneGrid2D([(4, 4), (64, 64)], table_size=32, rng=rng, init_scale=0.5)
+    plane = _spread_tables(PlaneGrid2D([(4, 4), (64, 64)], table_size=32, rng=rng), rng)
     assert plane.dense == [True, False]
     pts = rng.uniform(0.0, 1.0, (300, 2))
     pts[:3] = [[0, 0], [1, 1], [0.5, 1]]

@@ -335,7 +335,7 @@ def test_lpfm_loss_zero_pixels_warns():
         v = SparseFlow(shape, pv, pu, ad.constant(np.zeros((1, 2))), np.array([True]))
         gt = FlowField.zeros(2, 2)
         with pytest.warns(UserWarning):
-            loss = lpfm_loss(g, v, gt, np.zeros(shape))
+            loss = lpfm_loss(g, v, gt, np.zeros(shape), 0.5, 0.5)
     assert loss.data == 0.0
 
 
@@ -346,4 +346,4 @@ def test_lpfm_loss_rejects_mismatched_pixel_sets():
         v = SparseFlow((2, 2), np.array([0, 1]), np.array([0, 1]),
                        ad.constant(np.zeros((2, 2))), np.array([True, True]))
         with pytest.raises(ValueError):
-            lpfm_loss(g, v, FlowField.zeros(2, 2), np.ones((2, 2)))
+            lpfm_loss(g, v, FlowField.zeros(2, 2), np.ones((2, 2)), 0.5, 0.5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pidg.autodiff as ad
-from pidg.losses import blur_valid, gaussian_kernel, l1, psnr, renders_loss, ssim
+from pidg.losses import SSIM_WINDOW, blur_valid, gaussian_kernel, l1, psnr, renders_loss, ssim
 
 
 def test_gaussian_kernel_normalized_and_symmetric():
@@ -30,7 +30,7 @@ def test_blur_valid_matches_numpy_correlate():
 def test_blur_valid_rejects_small_images():
     with ad.Tape():
         with pytest.raises(ValueError):
-            blur_valid(ad.constant(np.zeros((8, 8))), gaussian_kernel(11))
+            blur_valid(ad.constant(np.zeros((8, 8))), SSIM_WINDOW)
 
 
 def test_blur_gradient_matches_fd():

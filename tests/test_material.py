@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import pidg.autodiff as ad
-from pidg.config import desk_material_config
 from pidg.material import (
     MaterialConfig,
     MaterialField,
@@ -24,7 +23,7 @@ def test_feature_dim_arithmetic():
     full = MaterialField(10, np.random.default_rng(0),
                          MaterialConfig(fourier_n=6, embed_dim=64))
     assert full.feature_dim == 6 + 12 + 64  # = 82
-    desk = MaterialField(10, np.random.default_rng(0), desk_material_config())
+    desk = MaterialField(10, np.random.default_rng(0), MaterialConfig())
     assert desk.feature_dim == 6 + 2 * desk.config.fourier_n + desk.config.embed_dim
 
 

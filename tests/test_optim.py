@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pidg.autodiff as ad
-from pidg.optim import Adam, exp_decay
+from pidg.optim import BETA1, BETA2, EPS, Adam, exp_decay
 
 
 def test_first_adam_step_hand_case():
@@ -24,10 +24,10 @@ def test_adam_sequence_matches_reference_implementation():
     rng = np.random.default_rng(0)
     x0 = rng.normal(size=(4, 3))
     grads = [rng.normal(size=(4, 3)) for _ in range(5)]
-    lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+    lr, b1, b2, eps = 0.05, BETA1, BETA2, EPS
 
     p = ad.parameter(x0.copy())
-    opt = Adam(b1, b2, eps)
+    opt = Adam()
     opt.register("p", p)
     for g in grads:
         p.grad = g.copy()
@@ -128,8 +128,7 @@ def test_state_arrays_round_trip():
 
 
 def test_exp_decay_schedule():
-    # one decade of decay per period_fraction * total iterations
-    assert np.isclose(exp_decay(1.0, 0, 100), 1.0)
-    assert np.isclose(exp_decay(1.0, 40, 100), 0.1)
-    assert np.isclose(exp_decay(1.0, 80, 100), 0.01)
-    assert np.isclose(exp_decay(2.0, 20, 100, factor=0.5, period_fraction=0.2), 1.0)
+    # one decade of decay per 40% of the run
+    assert np.isclose(exp_decay(0, 100), 1.0)
+    assert np.isclose(exp_decay(40, 100), 0.1)
+    assert np.isclose(exp_decay(80, 100), 0.01)

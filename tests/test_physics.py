@@ -56,7 +56,7 @@ def test_shear_flow_residual_is_zero():
     pts = sample_points(np.random.default_rng(2))
     with ad.Tape():
         v, s = field.evaluate_with_jets(pts)
-        r = momentum_residual(v, s, rho=1.0).data
+        r = momentum_residual(v, s, rho=1.0, include_advection=True).data
     assert np.max(np.abs(r)) < 1e-15
 
 
@@ -75,7 +75,7 @@ def test_hydrostatic_residual_is_exactly_unit_x():
     pts = sample_points(np.random.default_rng(4))
     with ad.Tape():
         v, s = field.evaluate_with_jets(pts)
-        r = momentum_residual(v, s).data
+        r = momentum_residual(v, s, rho=1.0, include_advection=True).data
     assert np.max(np.abs(r - np.array([1.0, 0.0, 0.0]))) < 1e-10
 
 
@@ -84,11 +84,11 @@ def test_elastic_wave_linearized_residual_is_zero():
     pts = sample_points(np.random.default_rng(5))
     with ad.Tape():
         v, s = field.evaluate_with_jets(pts)
-        r = momentum_residual(v, s, include_advection=False).data
+        r = momentum_residual(v, s, rho=1.0, include_advection=False).data
     assert np.max(np.abs(r)) < 1e-12
     # with advection the imbalance is O(A^2 k)
     with ad.Tape():
-        r_adv = momentum_residual(v, s, include_advection=True).data
+        r_adv = momentum_residual(v, s, rho=1.0, include_advection=True).data
     assert 0 < np.max(np.abs(r_adv)) < 0.05**2 * 2 * np.pi * 1.1
 
 
@@ -105,7 +105,7 @@ def test_residual_against_brute_force_on_random_jets():
         mk = ad.constant
         vel = JetVec(mk(v), mk(dv[0]), mk(dv[1]), mk(dv[2]), mk(dv[3]))
         sig = JetVec(mk(s), mk(ds[0]), mk(ds[1]), mk(ds[2]), mk(ds[3]))
-        r = momentum_residual(vel, sig, rho=rho).data
+        r = momentum_residual(vel, sig, rho=rho, include_advection=True).data
 
     cols = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
     ref = np.zeros((n, 3))
@@ -214,8 +214,8 @@ def test_subsampled_estimator_is_unbiased():
 def test_empty_point_set_returns_zero():
     field = learned_field(seed=15)
     with ad.Tape():
-        assert float(block_sampled_cmr(field, np.zeros((0, 4)), np.zeros(0, dtype=np.int64)).data) == 0.0
-    assert block_sampled_cmr(field, np.zeros((0, 4)), np.zeros(0, dtype=np.int64),
+        assert float(block_sampled_cmr(field, np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 1024).data) == 0.0
+    assert block_sampled_cmr(field, np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 1024,
                              backward_scale=1.0) == 0.0
 
 
@@ -223,4 +223,4 @@ def test_subsample_requires_rng():
     field = learned_field(seed=16)
     pts = sample_points(np.random.default_rng(17), n=8)
     with pytest.raises(ValueError):
-        block_sampled_cmr(field, pts, np.arange(8), sample_count=4)
+        block_sampled_cmr(field, pts, np.arange(8), 1024, sample_count=4)

@@ -147,7 +147,7 @@ def test_behind_camera_backward_leaves_grads_unset():
     cam = make_camera(16, 16)  # SSIM needs the 11-pixel window
     with ad.Tape() as tape:
         out = render(cloud, cam, 0.0)
-        tape.backward(renders_loss(out.image, np.full((16, 16, 3), 0.5)))
+        tape.backward(renders_loss(out.image, np.full((16, 16, 3), 0.5), 0.2))
     for name, p in cloud.params.items():
         assert p.grad is None, name
 

@@ -113,7 +113,7 @@ def test_densify_clones_small_hot_particles():
     rng = np.random.default_rng(0)
     grads = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
     kept, appended = densify_and_prune(cloud, grads, rng, grad_threshold=0.5,
-                                       scene_extent=1.0)
+                                       scene_extent=1.0, scale_threshold=0.15, min_opacity=0.005)
     assert np.array_equal(kept, np.arange(5))  # clones keep the parent row
     assert appended == 2
     assert len(cloud) == 7
@@ -124,12 +124,11 @@ def test_densify_clones_small_hot_particles():
 
 
 def test_densify_splits_large_hot_particles():
-    cloud = make_cloud(n=4, base_scale=0.1)  # 0.1 > percent_dense * extent
+    cloud = make_cloud(n=4, base_scale=0.1)  # 0.1 > PERCENT_DENSE * extent
     rng = np.random.default_rng(1)
     grads = np.array([1.0, 0.0, 0.0, 0.0])
     kept, appended = densify_and_prune(cloud, grads, rng, grad_threshold=0.5,
-                                       scene_extent=1.0, percent_dense=0.01,
-                                       scale_threshold=10.0)
+                                       scene_extent=1.0, scale_threshold=10.0, min_opacity=0.005)
     # parent 0 retired, two children appended
     assert np.array_equal(kept, [1, 2, 3])
     assert appended == 2
@@ -145,7 +144,7 @@ def test_densify_prunes_faint_and_overgrown():
     cloud.opacity_logit.data[4] = -20.0            # effectively transparent
     rng = np.random.default_rng(2)
     kept, appended = densify_and_prune(cloud, np.zeros(6), rng, grad_threshold=1.0,
-                                       scene_extent=1.0, scale_threshold=0.15)
+                                       scene_extent=1.0, scale_threshold=0.15, min_opacity=0.005)
     assert np.array_equal(kept, [0, 1, 3, 5])
     assert appended == 0
     assert len(cloud) == 4

@@ -85,6 +85,42 @@ def test_config_from_dict_rejects_unknown_field():
         RunConfig.from_dict({"not_a_field": 1})
 
 
+def test_default_config_is_the_desk_config():
+    assert RunConfig().to_dict() == {
+        "scene_dir": "", "out_dir": "run", "seed": 42, "iterations": 2000, "stage_switch": 0.6,
+        "log_interval": 1, "checkpoint_interval": 1000, "lambda_c": 0.2, "lambda_cmr": 0.1,
+        "lambda_lpfm": 0.01, "lambda_g": 0.5, "lambda_v": 0.5, "ablate": "none", "top_k": 8,
+        "cmr_samples": 256, "cmr_block": 256, "cmr_include_advection": True, "init_particles": 150,
+        "max_particles": 300, "densify_interval": 200, "densify_grad_threshold": 0.002,
+        "prune_scale_threshold": 0.15, "min_opacity": 0.005, "dynamic_fraction": 0.3,
+        "lr_position": 0.0005, "lr_sh": 0.005, "lr_opacity": 0.05, "lr_scale": 0.005,
+        "lr_rotation": 0.002, "lr_decoder": 0.002, "grid_lr_multiplier": 20.0, "lr_material": 0.002,
+        "deform": {"spatial_levels": 6, "spatial_base": 8, "spatial_max": 96, "temporal_levels": 6,
+                   "time_base": 2, "time_max": 4, "table_size_log2": 15, "feature_dim": 2,
+                   "attn_width": 32, "hidden_width": 64},
+        "material": {"plane_levels": 3, "plane_base": 8, "plane_max": 48, "table_size": 4096,
+                     "fourier_n": 4, "embed_dim": 16, "hidden_width": 64, "rho": 1.0},
+    }
+
+
+def test_partial_nested_config_keeps_the_other_defaults():
+    cfg = RunConfig.from_dict({"deform": {"feature_dim": 4}})
+    want = RunConfig()
+    want.deform.feature_dim = 4
+    assert cfg.to_dict() == want.to_dict()
+
+
+def test_config_rejects_zero_densify_interval():
+    assert RunConfig(densify_interval=0).validate() == ["densify_interval must be >= 1"]
+
+
+@pytest.mark.parametrize("name", ["deform.spatial_levels", "deform.temporal_levels", "material.plane_levels"])
+def test_config_rejects_zero_grid_levels(name):
+    section, key = name.split(".")
+    cfg = RunConfig.from_dict({section: {key: 0}})
+    assert cfg.validate() == [f"{name} must be >= 1"]
+
+
 # -- stages and metrics --------------------------------------------------------
 
 def test_stage_boundaries():
@@ -309,9 +345,14 @@ def test_eval_render_holds_no_backward_state():
 
 def test_mean_psnr_is_the_evaluate_psnr():
     tr = Trainer(tiny_config(), tiny_data())
-    assert tr.mean_psnr() == tr.evaluate()["psnr"]
+    metrics = tr.evaluate()
+    assert tr.mean_psnr() == metrics["psnr"]
+    assert tr.mean_masked_epe() == metrics["masked_epe"]
     tr.run()  # into stage 2, where static particles skip the deformation
-    assert tr.mean_psnr() == tr.evaluate()["psnr"]
+    assert tr.stage() == 2
+    metrics = tr.evaluate()
+    assert tr.mean_psnr() == metrics["psnr"]
+    assert tr.mean_masked_epe() == metrics["masked_epe"]
 
 
 def test_mean_residual_leaves_training_rng_alone(tmp_path):
