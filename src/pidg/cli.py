@@ -21,26 +21,34 @@ from .camera import Camera, camera_from_fov
 from .config import ABLATIONS, RunConfig
 from .flow import frame_pair_flows, project_velocity
 from .losses import psnr
-from .render import RenderSettings, render
+from .render import RenderSettings, project, render
 from .synth import SceneSpec, generate, load_scene, write_scene
 from .train import Trainer, TrainingAborted, load_model
 
 QUIVER_GAIN = 4.0  # quiver arrows are this many times the motion they show
 
 
+def _report(errors) -> int:
+    """Print each problem as an ``error:`` line; the exit code of a bad input."""
+    for e in errors:
+        print(f"error: {e}", file=sys.stderr)
+    return 2
+
+
 def cmd_synth(args) -> int:
-    if args.config:
-        with open(args.config) as f:
-            spec = SceneSpec.from_dict(json.load(f))
-    else:
-        spec = SceneSpec()
+    try:
+        if args.config:
+            with open(args.config) as f:
+                spec = SceneSpec.from_dict(json.load(f))
+        else:
+            spec = SceneSpec()
+    except ValueError as exc:
+        return _report(str(exc).splitlines())
     if args.seed is not None:
         spec.seed = args.seed
     errors = spec.validate()
     if errors:
-        for e in errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _report(errors)
     scene = generate(spec)
     out = write_scene(scene, args.out)
     print(f"wrote {scene.frames} frames to {out}")
@@ -48,10 +56,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.config:
-        config = RunConfig.from_json(args.config)
-    else:
-        config = RunConfig()
+    try:
+        config = RunConfig.from_json(args.config) if args.config else RunConfig()
+    except ValueError as exc:
+        return _report(str(exc).splitlines())
     if args.seed is not None:
         config.seed = args.seed
     if args.iters is not None:
@@ -66,9 +74,7 @@ def cmd_train(args) -> int:
     if not config.scene_dir:
         errors.append("no scene directory (config scene_dir or --scene)")
     if errors:
-        for e in errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _report(errors)
     data = load_scene(config.scene_dir)
     if args.resume:
         # the run continues with the checkpoint's config; only the paths come from here
@@ -138,31 +144,27 @@ def cmd_render(args) -> int:
     data = load_scene(args.scene) if args.scene else None
     frame = args.camera if args.camera is not None else 0
     if data is not None and not 0 <= frame < data.frames:
-        print(f"error: camera index {frame} outside scene ({data.frames} frames)", file=sys.stderr)
-        return 2
+        return _report([f"camera index {frame} outside scene ({data.frames} frames)"])
     if args.pose:
         camera = _load_pose(args.pose, data.cameras[0] if data else None)
     elif data is not None:
         camera = data.cameras[frame]
     else:
-        print("error: need --scene or --pose for a camera", file=sys.stderr)
-        return 2
+        return _report(["need --scene or --pose for a camera"])
     t = args.t if args.t is not None else (data.times[frame] if data else 0.0)
     if not 0.0 <= t <= 1.0:
-        print(f"error: t={t} outside [0, 1]", file=sys.stderr)
-        return 2
+        return _report([f"t={t} outside [0, 1]"])
 
     emits = [e.strip() for e in args.emit.split(",") if e.strip()]
     bad = [e for e in emits if e not in ("color", "depth", "flow", "quiver")]
     if bad:
-        print(f"error: unknown --emit value(s) {bad}", file=sys.stderr)
-        return 2
-    respect = iteration >= config.stage2_start()
+        return _report([f"unknown --emit value(s) {bad}"])
+    model = dict(deform_field=deform, normalizer=normalizer,
+                 respect_dynamic_mask=iteration >= config.stage2_start())
     settings = RenderSettings(top_k=config.top_k)
     out_dir = pio.ensure_dir(args.out)
     with ad.Tape(keep_graph=False):
-        out = render(cloud, camera, t, deform_field=deform, normalizer=normalizer,
-                     settings=settings, respect_dynamic_mask=respect)
+        out = render(cloud, camera, t, settings=settings, **model)
     if "color" in emits:
         pio.write_ppm(out_dir / "render_color.ppm", out.image_np())
     if "depth" in emits:
@@ -174,18 +176,13 @@ def cmd_render(args) -> int:
 
     if "flow" in emits or "quiver" in emits:
         if data is None or frame >= data.frames - 1:
-            print("error: --emit flow/quiver needs --scene and a camera index with a next frame",
-                  file=sys.stderr)
-            return 2
-
-        def render_frame(f):
-            return render(cloud, data.cameras[f], data.times[f], deform_field=deform,
-                          normalizer=normalizer, settings=settings, respect_dynamic_mask=respect)
+            return _report(["--emit flow/quiver needs --scene and a camera index with a next frame"])
 
         with ad.Tape(keep_graph=False):
-            out_t = out if own_frame else render_frame(frame)
-            flow_g, flow_v, v_world = frame_pair_flows(out_t, render_frame(frame + 1), cloud.ids,
-                                                       material, normalizer)
+            out_t = out if own_frame else render(cloud, data.cameras[frame], data.times[frame],
+                                                 settings=settings, **model)
+            proj_t1 = project(cloud, data.cameras[frame + 1], data.times[frame + 1], **model)
+            flow_g, flow_v, v_world = frame_pair_flows(out_t, proj_t1, cloud.ids, material, normalizer)
         if "flow" in emits:
             pio.write_flow(out_dir / "flow_g.flo", flow_g.to_field())
             pio.write_flow(out_dir / "flow_v.flo", flow_v.to_field())

@@ -12,7 +12,7 @@ half-checked config.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .deform import DeformConfig
 from .material import MaterialConfig
@@ -96,10 +96,14 @@ class RunConfig:
         if self.grid_lr_multiplier <= 0.0:
             e.append("grid_lr_multiplier must be > 0")
         for name in ("deform.spatial_levels", "deform.temporal_levels", "deform.feature_dim",
-                     "material.plane_levels", "material.fourier_n"):
+                     "deform.spatial_base", "deform.spatial_max", "deform.attn_width",
+                     "material.plane_levels", "material.fourier_n", "material.plane_base",
+                     "material.plane_max", "material.table_size"):
             section, key = name.split(".")
             if getattr(getattr(self, section), key) < 1:
                 e.append(f"{name} must be >= 1")
+        if self.material.rho <= 0.0:
+            e.append("material.rho must be > 0")
         return e
 
     def require_valid(self) -> "RunConfig":
@@ -123,13 +127,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        cfg = cls(deform=DeformConfig(**d.pop("deform", {})),
-                  material=MaterialConfig(**d.pop("material", {})))
-        for k, v in d.items():
-            if not hasattr(cfg, k):
-                raise ValueError(f"unknown config field {k!r}")
-            setattr(cfg, k, v)
+        """The config a JSON object describes. Raises ``ValueError`` with one
+        line per unknown field and per value of the wrong type."""
+        cfg = cls()
+        errors = _set_fields(cfg, d, "")
+        if errors:
+            raise ValueError("\n".join(errors))
         return cfg
 
     @classmethod
@@ -140,3 +143,28 @@ class RunConfig:
     def save_json(self, path) -> None:
         with open(path, "w") as f:
             json.dump(self.to_dict(), f, indent=1, sort_keys=True)
+
+
+def _set_fields(obj, d, prefix: str) -> list[str]:
+    """Set the fields of dataclass ``obj`` that ``d`` names, a nested
+    dataclass from a nested object; return the problems found, each field
+    named by its dotted path. A value must have its default's type, except
+    that an int is fine for a float; a bool is not a number."""
+    if not isinstance(d, dict):
+        return [f"{prefix[:-1] or 'config'} must be a JSON object"]
+    names = {f.name for f in fields(obj)}
+    errors = []
+    for key, value in d.items():
+        name = prefix + key
+        if key not in names:
+            errors.append(f"unknown config field {name!r}")
+            continue
+        default = getattr(obj, key)
+        if is_dataclass(default):
+            errors += _set_fields(default, value, name + ".")
+        elif (isinstance(value, bool) == isinstance(default, bool)
+              and isinstance(value, (int, float) if isinstance(default, float) else type(default))):
+            setattr(obj, key, value)
+        else:
+            errors.append(f"{name} must be {type(default).__name__}, not {value!r}")
+    return errors

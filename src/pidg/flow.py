@@ -204,7 +204,9 @@ def _position_lookup(visible_rows: np.ndarray, n_rows: int) -> np.ndarray:
 
 
 class _Transport:
-    """Per-contributor scale transform shared by both flow predictions."""
+    """Per-contributor scale transform from a frame-t render to frame t+1's
+    projection (or render). Each flow prediction builds its own, as sharing
+    one would change the gradients' rounding."""
 
     def __init__(self, out_t, out_t1):
         topk = out_t.topk_rows
@@ -285,7 +287,7 @@ class _Transport:
 
 
 def gaussian_flow(out_t, out_t1) -> SparseFlow:
-    """Particle-transport flow from render t to t+1 over the covered pixels."""
+    """Particle-transport flow from render t to projection t+1 over the covered pixels."""
     tr = _Transport(out_t, out_t1)
     m2d_t1 = ad.take_rows(out_t1.means2d, tr.it1.reshape(-1))
     return tr.combine(m2d_t1[:, 0], m2d_t1[:, 1])
@@ -316,8 +318,8 @@ def velocity_flow(out_t, out_t1, v_world: Tensor, dt: float) -> SparseFlow:
 
     ``v_world`` holds world-space velocities (per unit normalized time) for
     the *visible rows* of the frame-t render; dt is the frame interval in
-    normalized time. The covariance transport reuses the frame pair's scale
-    transform.
+    normalized time. The covariance transport is the same scale transform
+    as ``gaussian_flow``'s, built again here (see ``_Transport``).
     """
     tr = _Transport(out_t, out_t1)
     vbar = project_velocity(out_t.camera, out_t.means2d, out_t.depths, v_world)
@@ -328,13 +330,13 @@ def velocity_flow(out_t, out_t1, v_world: Tensor, dt: float) -> SparseFlow:
 
 
 def frame_pair_flows(out_t, out_t1, ids: np.ndarray, material, normalizer):
-    """Both flow predictions of a render pair: (flow_g, flow_v, v_world).
+    """Both flow predictions of a frame pair: (flow_g, flow_v, v_world).
 
-    The material field gives the velocity of each particle visible at frame
-    t (``ids`` are the cloud's particle ids; the frame-t render's visible
-    rows pick theirs) at its deformed position and the frame-t time;
-    ``v_world`` is that velocity in world units. dt is the interval between
-    the two renders' times.
+    ``out_t1`` is frame t+1's projection (or render). The material field
+    gives the velocity of each particle visible at frame t (``ids`` are the
+    cloud's particle ids; the frame-t render's visible rows pick theirs) at
+    its deformed position and the frame-t time; ``v_world`` is that velocity
+    in world units. dt is the interval between the two frames' times.
     """
     p4 = normalizer.unit4_np(out_t.positions_world, out_t.t)
     v_norm, _ = material.evaluate(p4, ids[out_t.visible_rows])

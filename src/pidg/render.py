@@ -3,6 +3,9 @@
 The pipeline is: (optional) deformation -> world covariance -> camera-space
 transform -> perspective Jacobian -> 2D covariance (plus a fixed 0.3-pixel
 isotropic dilation) -> tile-based alpha compositing front to back.
+``project`` runs the steps up to the 2D covariance; ``render`` calls it, then
+adds view-dependent colours and opacities and composites. Frame t+1 of a flow
+pair needs no image, so it is only projected.
 
 Compositing per pixel is C = sum_i c_i a_i T_i with T_i = prod_{j<i} (1-a_j),
 contributors sorted by ascending camera depth (ties broken by particle id),
@@ -368,17 +371,23 @@ def rasterize(means2d, conic, colors, opacity, depth, ids, row_map, height, widt
                  "topk": lambda: _topk_lists(tiles, saved, rows_sorted, height, width, k_top)}
 
 
-def render(
-    cloud: GaussianCloud,
-    camera: Camera,
-    t: float,
-    deform_field=None,
-    normalizer=None,
-    settings: RenderSettings | None = None,
-    respect_dynamic_mask: bool = False,
-) -> RenderOutput:
-    """Render the cloud at normalized time t (deformed when a field is given)."""
-    settings = settings or RenderSettings()
+class Projection(NamedTuple):
+    """A frame's visible rows (the cloud rows in front of the near plane),
+    their deformed world positions and their screen-space Gaussians."""
+
+    visible_rows: np.ndarray
+    positions: Tensor  # (M, 3) deformed world positions
+    means2d: Tensor  # (M, 2)
+    cov2d: Tensor  # (M, 3) as (a, b, c), dilation included
+    conic: Tensor  # (M, 3), the inverse of cov2d
+    depths: Tensor  # (M,) camera-space z
+    camera: Camera
+    t: float
+
+
+def project(cloud: GaussianCloud, camera: Camera, t: float, deform_field=None, normalizer=None,
+            respect_dynamic_mask: bool = False) -> Projection:
+    """Deform the cloud to normalized time t (given a field), cull it at the near plane, project it."""
     if deform_field is not None:
         if normalizer is None:
             raise ValueError("deformation requires a scene normalizer")
@@ -394,22 +403,29 @@ def render(
     pc_k = ad.take_rows(pc, keep)
     cov_k = ad.take_rows(cov3d, keep)
     mu_k = ad.take_rows(mu_d, keep)
+    means2d, cov2d, conic, z = project_gaussians(pc_k, cov_k, camera)
+    return Projection(keep, mu_k, means2d, cov2d, conic, z, camera, t)
+
+
+def render(cloud: GaussianCloud, camera: Camera, t: float, deform_field=None, normalizer=None,
+           settings: RenderSettings | None = None, respect_dynamic_mask: bool = False) -> RenderOutput:
+    """Render the cloud at normalized time t: ``project`` it, then colour and composite."""
+    settings = settings or RenderSettings()
+    proj = project(cloud, camera, t, deform_field, normalizer, respect_dynamic_mask)
+    keep = proj.visible_rows
     sh_k = ad.take_rows(cloud.sh, keep)
     logit_k = ad.take_rows(cloud.opacity_logit, keep)
 
-    rel = ad.sub(mu_k, ad.constant(camera.center))
+    rel = ad.sub(proj.positions, ad.constant(camera.center))
     inv_norm = ad.pow_const(ad.sum_(ad.mul(rel, rel), axis=1, keepdims=True), -0.5)
     dirs = ad.mul(rel, inv_norm)
     colors = sh_colors(sh_k, dirs)
     opac = ad.sigmoid(logit_k)
 
-    means2d, cov2d, conic, z = project_gaussians(pc_k, cov_k, camera)
-    raw, aux = rasterize(means2d, conic, colors, opac, z, cloud.ids[keep], keep,
+    raw, aux = rasterize(proj.means2d, proj.conic, colors, opac, proj.depths, cloud.ids[keep], keep,
                          camera.height, camera.width, settings)
-    return RenderOutput(
-        raw, aux["t_final"], None, None, keep, means2d, cov2d, z, camera, t,
-        positions_world=mu_k.data.copy(), topk_build=aux["topk"],
-    )
+    return RenderOutput(raw, aux["t_final"], None, None, keep, proj.means2d, proj.cov2d, proj.depths, camera, t,
+                        positions_world=proj.positions.data.copy(), topk_build=aux["topk"])
 
 
 # -- independent per-pixel oracle (no tape, no tiling) ------------------------

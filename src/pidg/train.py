@@ -6,7 +6,7 @@ regularization, with periodic densify/prune of the particle cloud. Stage 2
 static/dynamic by projecting them against the motion masks, static particles
 keep their canonical pose (their position/rotation/scale rows are frozen and
 the renderer bypasses the deformation for them), and the flow-matching loss
-switches on over frame pairs.
+switches on over frame pairs: frame t is rendered, frame t+1 only projected.
 
 The momentum residual is driven through its own small tapes
 (`block_sampled_cmr` in backward mode) so the main photometric tape never
@@ -27,7 +27,7 @@ from .losses import psnr, renders_loss, ssim
 from .material import MaterialField
 from .optim import Adam, exp_decay
 from .physics import block_sampled_cmr, momentum_residual
-from .render import RenderSettings, render
+from .render import RenderSettings, project, render
 from .scene import SH_C0, GaussianCloud, SceneNormalizer, densify_and_prune, partition_dynamic
 from .synth import SceneData
 
@@ -231,9 +231,9 @@ class Trainer:
                 l_lpfm_val = 0.0
                 if use_lpfm:
                     term = "flow-matching"
-                    out1 = render(self.cloud, self.data.cameras[f + 1], times[f + 1],
-                                  deform_field=self.deform, normalizer=self.normalizer,
-                                  settings=self.settings, respect_dynamic_mask=True)
+                    out1 = project(self.cloud, self.data.cameras[f + 1], times[f + 1],
+                                   deform_field=self.deform, normalizer=self.normalizer,
+                                   respect_dynamic_mask=True)
                     flow_g, flow_v, _ = frame_pair_flows(out, out1, self.cloud.ids, self.material,
                                                          self.normalizer)
                     l_lpfm = lpfm_loss(flow_g, flow_v, self._gt_flow(f), self.data.masks[f],

@@ -14,7 +14,7 @@ from pidg.flow import gaussian_flow, project_velocity, velocity_flow
 from pidg.io import read_depth, read_flow, read_ppm, write_flow, write_ppm
 from pidg.losses import psnr, ssim
 from pidg.material import MaterialConfig
-from pidg.render import RenderSettings, render
+from pidg.render import RenderSettings, project, render
 from pidg.synth import SceneSpec, load_scene
 from pidg.train import Trainer, load_model
 
@@ -76,6 +76,13 @@ def test_synth_rejects_bad_spec(tmp_path, capsys):
     assert "at least 2 frames" in err and "at least 1 particle" in err
 
 
+def test_synth_reports_an_unknown_spec_field(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(dict(small_spec_dict(), frame_count=3)))
+    assert main(["synth", "--config", str(p), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == "error: unknown scene spec field 'frame_count'\n"
+
+
 def test_train_outputs(workspace):
     run = workspace["run"]
     assert (run / "final.pidg").exists()
@@ -95,6 +102,18 @@ def test_train_rejects_invalid_config(tmp_path, capsys):
     assert main(["train", "--config", str(p), "--scene", "x", "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "iterations" in err and "ablate" in err
+
+
+@pytest.mark.parametrize("config, error", [
+    ({"feature_dims": 4}, "unknown config field 'feature_dims'"),
+    ({"deform": {"feature_dims": 4}}, "unknown config field 'deform.feature_dims'"),
+    ({"iterations": "60"}, "iterations must be int, not '60'"),
+])
+def test_train_reports_config_file_errors(tmp_path, capsys, config, error):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(config))
+    assert main(["train", "--config", str(p), "--scene", "x", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_train_requires_scene(tmp_path, capsys):
@@ -125,25 +144,29 @@ def test_render_flow_and_quiver(workspace, tmp_path):
     assert read_ppm(out / "quiver.ppm").shape == (24, 24, 3)
 
 
-@pytest.mark.parametrize("extra, renders", [([], 2), (["--t", "own"], 3)])
-def test_render_flow_renders_each_frame_once(workspace, tmp_path, monkeypatch, extra, renders):
+@pytest.mark.parametrize("extra, passes", [([], 2), (["--t", "own"], 3)])
+def test_render_flow_renders_each_frame_once(workspace, tmp_path, monkeypatch, extra, passes):
     """--emit flow,quiver renders the chosen frame once (twice with --t, whose
-    render may be at another time) and the next frame once; every file equals
-    one computed from a fresh render of each frame."""
+    render may be at another time) and projects the next frame once, without
+    rendering it: ``passes`` counts these calls. Every file equals one
+    computed from a fresh render of each frame, the t+1 render as the oracle."""
     data = load_scene(workspace["scene"])
     f = 1
     calls = []
 
-    def counting_render(*args, **kwargs):
-        calls.append(args[2])
-        return render(*args, **kwargs)
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append((fn.__name__, args[2]))
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(cli, "render", counting_render)
+    monkeypatch.setattr(cli, "render", counting(render))
+    monkeypatch.setattr(cli, "project", counting(project))
     out = tmp_path / "rf"
     extra = [repr(data.times[f]) if a == "own" else a for a in extra]
     assert main(["render", str(workspace["ckpt"]), "--scene", str(workspace["scene"]),
                  "--camera", str(f), "--out", str(out), "--emit", "color,depth,flow,quiver", *extra]) == 0
-    assert len(calls) == renders, calls
+    assert calls == [("render", data.times[f])] * (passes - 1) + [("project", data.times[f + 1])]
 
     config, iteration, cloud, deform, material, normalizer = load_model(workspace["ckpt"])
     settings = RenderSettings(top_k=config.top_k)
@@ -170,20 +193,25 @@ def test_render_flow_renders_each_frame_once(workspace, tmp_path, monkeypatch, e
 
 
 def test_render_keeps_no_backward_state(workspace, tmp_path, monkeypatch):
-    """Every render of --emit color,depth,flow,quiver is forward-only, and a
-    non-finite value still raises."""
-    outs = []
+    """Every render and projection of --emit color,depth,flow,quiver is
+    forward-only, and a non-finite value still raises."""
+    outs, projections = [], []
 
-    def recording_render(*args, **kwargs):
-        outs.append(render(*args, **kwargs))
-        return outs[-1]
+    def recording(fn, into):
+        def wrapped(*args, **kwargs):
+            into.append(fn(*args, **kwargs))
+            return into[-1]
+        return wrapped
 
-    monkeypatch.setattr(cli, "render", recording_render)
+    monkeypatch.setattr(cli, "render", recording(render, outs))
+    monkeypatch.setattr(cli, "project", recording(project, projections))
     argv = ["render", str(workspace["ckpt"]), "--scene", str(workspace["scene"]), "--camera", "0",
             "--out", str(tmp_path / "r"), "--emit", "color,depth,flow,quiver"]
     assert main(argv) == 0
-    assert len(outs) == 2
-    assert all(out.raw._vjp is None and not out.raw.requires_grad for out in outs)
+    assert len(outs) == 1 and len(projections) == 1
+    tensors = [out.raw for out in outs] + [x for p in projections for x in p if isinstance(x, ad.Tensor)]
+    assert len(tensors) == 6
+    assert all(x._vjp is None and not x.requires_grad for x in tensors)
 
     def poisoned_model(path):
         config, iteration, cloud, deform, material, normalizer = load_model(path)

@@ -16,6 +16,7 @@ from pidg.material import MaterialConfig, MaterialField
 from pidg.render import (
     ALPHA_MAX,
     RenderSettings,
+    project,
     render,
     render_brute_force,
 )
@@ -103,13 +104,17 @@ def test_empty_cloud_renders_background():
     assert len(out.visible_rows) == 0
 
 
+def small_deform(rng):
+    return DeformationField(DeformConfig(spatial_levels=2, spatial_base=4, spatial_max=8,
+                                         temporal_levels=2, time_base=2, time_max=4,
+                                         table_size_log2=8, feature_dim=2,
+                                         attn_width=8, hidden_width=16), rng)
+
+
 def test_empty_cloud_through_deformation_and_flows():
     cloud = empty_cloud()
     rng = np.random.default_rng(18)
-    deform = DeformationField(DeformConfig(spatial_levels=2, spatial_base=4, spatial_max=8,
-                                           temporal_levels=2, time_base=2, time_max=4,
-                                           table_size_log2=8, feature_dim=2,
-                                           attn_width=8, hidden_width=16), rng)
+    deform = small_deform(rng)
     material = MaterialField(4, rng, MaterialConfig(plane_levels=2, plane_base=4, plane_max=8,
                                                     table_size=256, fourier_n=2, embed_dim=4,
                                                     hidden_width=16))
@@ -297,6 +302,28 @@ def test_visible_rows_and_positions_world():
     assert 3 not in out.visible_rows
     assert len(out.visible_rows) == 7
     assert np.allclose(out.positions_world, cloud.mu.data[out.visible_rows])
+
+
+@pytest.mark.parametrize("deformed, respect", [(False, False), (True, False), (True, True)])
+def test_project_matches_the_render_fields(deformed, respect):
+    """``project`` gives the geometry ``render`` composites, bit for bit."""
+    rng = np.random.default_rng(16)
+    cloud = random_cloud(rng, 12)
+    cloud.mu.data[3, 2] = -50.0  # behind the camera
+    cloud.dynamic[::3] = False  # static rows skip the deformation when the mask is respected
+    cam = make_camera()
+    model = dict(deform_field=small_deform(rng), normalizer=SceneNormalizer((0.0, 0.0, 0.0), 2.0),
+                 respect_dynamic_mask=respect) if deformed else {}
+    with ad.Tape():
+        out = render(cloud, cam, 0.4, **model)
+        proj = project(cloud, cam, 0.4, **model)
+    assert np.array_equal(proj.visible_rows, out.visible_rows) and 3 not in proj.visible_rows
+    assert np.array_equal(proj.positions.data, out.positions_world)
+    for name in ("means2d", "cov2d", "depths"):
+        assert np.array_equal(getattr(proj, name).data, getattr(out, name).data), name
+    assert proj.camera is cam and proj.t == 0.4
+    a, b, c = proj.cov2d.data.T
+    assert np.allclose(proj.conic.data * (a * c - b * b)[:, None], np.stack([c, -b, a], axis=1))
 
 
 # -- the dense per-tile rasterizer, kept as the oracle of the live-pair one ---

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+import pidg.render as render_module
 from pidg import autodiff as ad
 from pidg import io as pio
 from pidg.config import RunConfig
 from pidg.deform import DeformConfig
 from pidg.material import MaterialConfig
-from pidg.render import RenderSettings, render
+from pidg.flow import frame_pair_flows, lpfm_loss
+from pidg.render import RenderSettings, project, render
 from pidg.synth import SceneSpec, generate, scene_data
-from pidg.train import METRICS_HEADER, Trainer, TrainingAborted, load_model
+from pidg.train import METRICS_HEADER, Trainer, TrainingAborted, load_model, model_params
 
 
 def tiny_config(**overrides) -> RunConfig:
@@ -85,6 +87,24 @@ def test_config_from_dict_rejects_unknown_field():
         RunConfig.from_dict({"not_a_field": 1})
 
 
+def test_config_from_dict_checks_each_value_type():
+    cfg = RunConfig.from_dict({"stage_switch": 1, "cmr_include_advection": False, "material": {"rho": 2}})
+    assert (cfg.stage_switch, cfg.cmr_include_advection, cfg.material.rho) == (1, False, 2)
+    with pytest.raises(ValueError) as err:
+        RunConfig.from_dict({"top_k": True, "lambda_c": "0.2", "cmr_include_advection": 1,
+                             "deform": {"feature_dim": 2.0, "width": 3}, "material": 3})
+    assert str(err.value).splitlines() == [
+        "top_k must be int, not True",
+        "lambda_c must be float, not '0.2'",
+        "cmr_include_advection must be bool, not 1",
+        "deform.feature_dim must be int, not 2.0",
+        "unknown config field 'deform.width'",
+        "material must be a JSON object",
+    ]
+    with pytest.raises(ValueError, match="config must be a JSON object"):
+        RunConfig.from_dict([])
+
+
 def test_default_config_is_the_desk_config():
     assert RunConfig().to_dict() == {
         "scene_dir": "", "out_dir": "run", "seed": 42, "iterations": 2000, "stage_switch": 0.6,
@@ -119,6 +139,22 @@ def test_config_rejects_zero_grid_levels(name):
     section, key = name.split(".")
     cfg = RunConfig.from_dict({section: {key: 0}})
     assert cfg.validate() == [f"{name} must be >= 1"]
+
+
+@pytest.mark.parametrize("name, value, rule", [
+    ("deform.spatial_base", 0, ">= 1"),
+    ("deform.spatial_max", 0, ">= 1"),
+    ("deform.attn_width", 0, ">= 1"),
+    ("material.plane_base", 0, ">= 1"),
+    ("material.plane_max", 0, ">= 1"),
+    ("material.table_size", 0, ">= 1"),
+    ("material.rho", 0.0, "> 0"),
+    ("material.rho", -1.0, "> 0"),
+])
+def test_config_rejects_field_sizes_that_break_the_model(name, value, rule):
+    section, key = name.split(".")
+    cfg = RunConfig.from_dict({section: {key: value}})
+    assert cfg.validate() == [f"{name} must be {rule}"]
 
 
 # -- stages and metrics --------------------------------------------------------
@@ -199,6 +235,57 @@ def test_stage2_freezes_static_pose_rows():
     # appearance keeps training everywhere, and dynamic poses keep moving
     assert not np.array_equal(tr.cloud.sh.data, sh0)
     assert not np.array_equal(tr.cloud.mu.data[dyn], mu_dyn0)
+
+
+def test_stage2_step_rasterizes_once(monkeypatch):
+    """The frame pair composites frame t only; frame t+1 is projected."""
+    tr = Trainer(tiny_config(iterations=4, stage_switch=0.25), tiny_data())
+    tr.step()
+    calls = []
+
+    def counting_rasterize(*args, **kwargs):
+        calls.append(len(args[0].data))
+        return rasterize(*args, **kwargs)
+
+    rasterize = render_module.rasterize
+    monkeypatch.setattr(render_module, "rasterize", counting_rasterize)
+    assert tr.stage() == 2
+    assert tr.step()["loss_lpfm"] > 0.0
+    assert len(calls) == 1
+
+
+def test_frame_pair_flows_from_a_projection_match_a_render():
+    """With frame t+1 projected rather than rendered, both flows and every
+    parameter gradient of the flow-matching loss are bit-equal; the t+1
+    render is the oracle."""
+    data = tiny_data()
+    tr = Trainer(tiny_config(iterations=4, stage_switch=0.25), data)
+    tr.step()
+    tr.step()
+    f = 1
+    model = dict(deform_field=tr.deform, normalizer=tr.normalizer, respect_dynamic_mask=True)
+    results = []
+    for second in (render, project):
+        tr.opt.zero_grad()
+        with ad.Tape() as tape:
+            out = render(tr.cloud, data.cameras[f], data.times[f], settings=tr.settings, **model)
+            out1 = second(tr.cloud, data.cameras[f + 1], data.times[f + 1], **model)
+            flow_g, flow_v, _ = frame_pair_flows(out, out1, tr.cloud.ids, tr.material, tr.normalizer)
+            loss = lpfm_loss(flow_g, flow_v, tr._gt_flow(f), data.masks[f], 0.5, 0.5)
+            tape.backward(loss)
+        grads = {name: None if p.grad is None else p.grad.copy()
+                 for name, p in model_params(tr.cloud, tr.deform, tr.material).items()}
+        results.append((flow_g.to_field(), flow_v.to_field(), float(loss.data), grads))
+    (g_r, v_r, loss_r, grads_r), (g_p, v_p, loss_p, grads_p) = results
+    assert loss_r > 0.0 and loss_p == loss_r
+    for a, b in ((g_r, g_p), (v_r, v_p)):
+        assert np.array_equal(a.vectors, b.vectors) and np.array_equal(a.valid, b.valid)
+    assert grads_p.keys() == grads_r.keys()
+    for name in ("cloud.mu", "cloud.log_scale", "deform.head.weight", "material.head.weight"):
+        assert np.any(grads_r[name] != 0.0), name
+    for name, g in grads_r.items():
+        assert (g is None) == (grads_p[name] is None), name
+        assert g is None or np.array_equal(g, grads_p[name]), name
 
 
 def test_entering_stage2_partitions_particles():
