@@ -8,7 +8,24 @@ supervision — all on a from-scratch reverse-mode tape over numpy arrays.
 
 The renderer is ``pidg.render.render``. It is not re-exported here, so the
 package attribute ``pidg.render`` stays the submodule.
+
+Importing ``pidg`` pins BLAS to one thread unless the environment names a
+count: a product that reduces over the particle axis gives other bytes with
+two OpenBLAS threads than with one, and seeded runs must reproduce byte for
+byte on any machine. BLAS reads these variables when numpy loads, so when
+numpy was imported first and they were unset, a note on stderr says so.
 """
+
+import os
+import sys
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and any(v not in os.environ for v in _BLAS_THREAD_VARS):
+    print("note: numpy was imported before pidg, so its BLAS may run several threads and a "
+          "seeded run's bytes may depend on the core count; set OPENBLAS_NUM_THREADS=1 "
+          "(or import pidg first) to reproduce them exactly", file=sys.stderr)
+for _var in _BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
 from . import autodiff
 from .camera import Camera, camera_from_fov, look_at

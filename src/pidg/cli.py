@@ -35,6 +35,10 @@ def _report(errors) -> int:
     return 2
 
 
+def _unreadable(path, exc: OSError) -> str:
+    return f"cannot read config file {path}: {exc.strerror or exc}"
+
+
 def cmd_synth(args) -> int:
     try:
         if args.config:
@@ -42,6 +46,8 @@ def cmd_synth(args) -> int:
                 spec = SceneSpec.from_dict(json.load(f))
         else:
             spec = SceneSpec()
+    except OSError as exc:
+        return _report([_unreadable(args.config, exc)])
     except ValueError as exc:
         return _report(str(exc).splitlines())
     if args.seed is not None:
@@ -58,6 +64,8 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     try:
         config = RunConfig.from_json(args.config) if args.config else RunConfig()
+    except OSError as exc:
+        return _report([_unreadable(args.config, exc)])
     except ValueError as exc:
         return _report(str(exc).splitlines())
     if args.seed is not None:

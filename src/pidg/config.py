@@ -63,6 +63,13 @@ class RunConfig:
     material: MaterialConfig = field(default_factory=MaterialConfig)
 
     def validate(self) -> list[str]:
+        """Every problem of the config: each field of the wrong type, checked
+        by ``from_dict``'s rule, then each range rule, with a wrong-typed
+        field checked at its default."""
+        typed = RunConfig()
+        return _set_fields(typed, self.to_dict(), "") + typed._range_errors()
+
+    def _range_errors(self) -> list[str]:
         e = []
         if self.iterations < 1:
             e.append("iterations must be >= 1")
@@ -96,9 +103,11 @@ class RunConfig:
         if self.grid_lr_multiplier <= 0.0:
             e.append("grid_lr_multiplier must be > 0")
         for name in ("deform.spatial_levels", "deform.temporal_levels", "deform.feature_dim",
-                     "deform.spatial_base", "deform.spatial_max", "deform.attn_width",
-                     "material.plane_levels", "material.fourier_n", "material.plane_base",
-                     "material.plane_max", "material.table_size"):
+                     "deform.spatial_base", "deform.spatial_max", "deform.time_base",
+                     "deform.time_max", "deform.table_size_log2", "deform.attn_width",
+                     "deform.hidden_width", "material.plane_levels", "material.fourier_n",
+                     "material.plane_base", "material.plane_max", "material.table_size",
+                     "material.embed_dim", "material.hidden_width"):
             section, key = name.split(".")
             if getattr(getattr(self, section), key) < 1:
                 e.append(f"{name} must be >= 1")
@@ -145,23 +154,30 @@ class RunConfig:
             json.dump(self.to_dict(), f, indent=1, sort_keys=True)
 
 
-def _set_fields(obj, d, prefix: str) -> list[str]:
+def _set_fields(obj, d, prefix: str, what: str = "config") -> list[str]:
     """Set the fields of dataclass ``obj`` that ``d`` names, a nested
     dataclass from a nested object; return the problems found, each field
     named by its dotted path. A value must have its default's type, except
-    that an int is fine for a float; a bool is not a number."""
+    that an int is fine for a float; a bool is not a number. A tuple field
+    takes a list of as many numbers as its default holds."""
     if not isinstance(d, dict):
-        return [f"{prefix[:-1] or 'config'} must be a JSON object"]
+        return [f"{prefix[:-1] or what} must be a JSON object"]
     names = {f.name for f in fields(obj)}
     errors = []
     for key, value in d.items():
         name = prefix + key
         if key not in names:
-            errors.append(f"unknown config field {name!r}")
+            errors.append(f"unknown {what} field {name!r}")
             continue
         default = getattr(obj, key)
         if is_dataclass(default):
-            errors += _set_fields(default, value, name + ".")
+            errors += _set_fields(default, value, name + ".", what)
+        elif isinstance(default, tuple):
+            if (isinstance(value, (list, tuple)) and len(value) == len(default)
+                    and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+                setattr(obj, key, tuple(value))
+            else:
+                errors.append(f"{name} must be a list of {len(default)} numbers, not {value!r}")
         elif (isinstance(value, bool) == isinstance(default, bool)
               and isinstance(value, (int, float) if isinstance(default, float) else type(default))):
             setattr(obj, key, value)

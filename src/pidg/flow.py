@@ -21,6 +21,12 @@ per contributing particle, averaged with the pixel's top-K splat weights
 endpoint with mu_t + vbar*dt, vbar being the particle's 3D velocity pushed
 through the projection Jacobian. The eigenbasis is held constant (detached);
 eigenvalues, means and velocities stay differentiable.
+
+Each prediction is one tape node over the 2D means and covariances of both
+frames (and, for velocity flow, vbar), with a hand-written VJP that
+recomputes the per-contributor transform rather than holding it; its
+forward and gradients equal, bit for bit, the same chain written as
+elementwise tape ops (the oracle in ``tests/test_flow.py``).
 """
 
 from __future__ import annotations
@@ -204,9 +210,17 @@ def _position_lookup(visible_rows: np.ndarray, n_rows: int) -> np.ndarray:
 
 
 class _Transport:
-    """Per-contributor scale transform from a frame-t render to frame t+1's
-    projection (or render). Each flow prediction builds its own, as sharing
-    one would change the gradients' rounding."""
+    """Per-contributor transport from a frame-t render to frame t+1's
+    projection (or render), in plain numpy: the covered pixels, each
+    contributor's visible row at t (``it``) and at t+1 (``it1``), the kept
+    contributors' renormalised weights and the detached frame-t eigenbasis.
+
+    A flow node keeps only these arrays and its parents; the eigenvalues,
+    the scale transform and the pixel offsets are recomputed from the
+    parents' data in the forward and again in the VJP, by the same
+    expressions. Each flow prediction builds its own transport, as sharing
+    one would change the gradients' rounding.
+    """
 
     def __init__(self, out_t, out_t1):
         topk = out_t.topk_rows
@@ -215,7 +229,6 @@ class _Transport:
         covered = topk[..., 0] >= 0
         self.pv, self.pu = np.nonzero(covered)
         rows = topk[self.pv, self.pu]  # (P, K) cloud rows, -1 pad
-        self.weights = out_t.topk_weights[self.pv, self.pu]
 
         n_rows = int(max(rows.max(initial=0), out_t.visible_rows.max(initial=0),
                          out_t1.visible_rows.max(initial=0))) + 1
@@ -224,73 +237,137 @@ class _Transport:
         safe = np.where(rows >= 0, rows, 0)
         it = pos_t[safe]
         it1 = pos_t1[safe]
-        self.keep = (rows >= 0) & (it >= 0) & (it1 >= 0)
-        self.it = np.where(self.keep, it, 0)
-        self.it1 = np.where(self.keep, it1, 0)
+        keep = (rows >= 0) & (it >= 0) & (it1 >= 0)
+        self.it = np.where(keep, it, 0).reshape(-1)
+        self.it1 = np.where(keep, it1, 0).reshape(-1)
 
-        # frame-t eigenbasis (detached) and same-axes eigenvalues at both times
-        cov_t, cov_t1 = out_t.cov2d, out_t1.cov2d
-        lam_np, u_np = eig2x2(cov_t.data[:, 0], cov_t.data[:, 1], cov_t.data[:, 2])
-        self.u = u_np
+        # frame-t eigenbasis (detached); contributors with a near-singular
+        # same-axes eigenvalue at either time are dropped
+        cov_t = out_t.cov2d.data
+        self.u = eig2x2(cov_t[:, 0], cov_t[:, 1], cov_t[:, 2])[1]
+        sing = np.zeros(len(self.it), dtype=bool)
+        for lam in self._eigenvalues(cov_t, out_t1.cov2d.data, *self._axes()):
+            sing |= lam < SINGULAR_EIG
+        keep &= ~sing.reshape(keep.shape)
 
-        def quad(cov: Tensor, idx, col_u):
-            ca = ad.take_rows(cov, idx)
-            ux, uy = col_u
-            return (
-                ad.mul(ca[:, 0], ux * ux)
-                + 2.0 * ad.mul(ca[:, 1], ux * uy)
-                + ad.mul(ca[:, 2], uy * uy)
-            )
-
-        it_f, it1_f = self.it.reshape(-1), self.it1.reshape(-1)
-        u1 = (u_np[it_f, 0, 0], u_np[it_f, 1, 0])
-        u2 = (u_np[it_f, 0, 1], u_np[it_f, 1, 1])
-        lam1_t = quad(cov_t, it_f, u1)
-        lam2_t = quad(cov_t, it_f, u2)
-        lam1_t1 = quad(cov_t1, it1_f, u1)
-        lam2_t1 = quad(cov_t1, it1_f, u2)
-
-        sing = ((lam1_t.data < SINGULAR_EIG) | (lam2_t.data < SINGULAR_EIG)
-                | (lam1_t1.data < SINGULAR_EIG) | (lam2_t1.data < SINGULAR_EIG))
-        self.keep &= ~sing.reshape(self.keep.shape)
-
-        guard = lambda t: ad.clip(t, SINGULAR_EIG, np.inf)  # dropped rows: keep math finite
-        s1 = ad.mul(ad.pow_const(guard(lam1_t1), 0.5), ad.pow_const(guard(lam1_t), -0.5))
-        s2 = ad.mul(ad.pow_const(guard(lam2_t1), 0.5), ad.pow_const(guard(lam2_t), -0.5))
-        v1x, v1y = u1
-        v2x, v2y = u2
-        self.a00 = ad.mul(s1, v1x * v1x) + ad.mul(s2, v2x * v2x)
-        self.a01 = ad.mul(s1, v1x * v1y) + ad.mul(s2, v2x * v2y)
-        self.a11 = ad.mul(s1, v1y * v1y) + ad.mul(s2, v2y * v2y)
-
-        m2d_t = ad.take_rows(out_t.means2d, it_f)
-        self.mu_t_x, self.mu_t_y = m2d_t[:, 0], m2d_t[:, 1]
-        self.p1x = np.repeat(self.pu.astype(np.float64), self.keep.shape[1])
-        self.p1y = np.repeat(self.pv.astype(np.float64), self.keep.shape[1])
-        self.dx = ad.sub(ad.constant(self.p1x), self.mu_t_x)
-        self.dy = ad.sub(ad.constant(self.p1y), self.mu_t_y)
-
-    def combine(self, end_x: Tensor, end_y: Tensor) -> SparseFlow:
-        """Weighted flow (p_hat - p1) with endpoint offsets end_* per contributor."""
-        fx = ad.add(ad.mul(self.a00, self.dx), ad.mul(self.a01, self.dy))
-        fy = ad.add(ad.mul(self.a01, self.dx), ad.mul(self.a11, self.dy))
-        fx = ad.sub(ad.add(fx, end_x), ad.constant(self.p1x))
-        fy = ad.sub(ad.add(fy, end_y), ad.constant(self.p1y))
-        wn = self.weights * self.keep
+        wn = out_t.topk_weights[self.pv, self.pu] * keep
         tot = wn.sum(axis=1)
-        ok = tot > 0.0
-        wn = wn / np.where(ok, tot, 1.0)[:, None]
-        n_pix, k = self.keep.shape
-        fxw = ad.sum_(ad.mul(ad.reshape(fx, (n_pix, k)), wn), axis=1)
-        fyw = ad.sum_(ad.mul(ad.reshape(fy, (n_pix, k)), wn), axis=1)
-        return SparseFlow(self.shape, self.pv, self.pu, ad.stack([fxw, fyw], axis=1), ok)
+        self.ok = tot > 0.0
+        self.wn = wn / np.where(self.ok, tot, 1.0)[:, None]
+
+    def _axes(self):
+        """Each contributor's frame-t eigenvectors ((v1x, v1y), (v2x, v2y))."""
+        u = self.u[self.it]
+        return (u[:, 0, 0], u[:, 1, 0]), (u[:, 0, 1], u[:, 1, 1])
+
+    def _eigenvalues(self, cov_t, cov_t1, u1, u2):
+        """Same-axes eigenvalues (lam1_t, lam2_t, lam1_t1, lam2_t1) per contributor."""
+        return (_quad(cov_t, self.it, *u1), _quad(cov_t, self.it, *u2),
+                _quad(cov_t1, self.it1, *u1), _quad(cov_t1, self.it1, *u2))
+
+    def _pixels(self):
+        """Each contributor's pixel centre (p1x, p1y)."""
+        k = self.wn.shape[1]
+        return (np.repeat(self.pu.astype(np.float64), k), np.repeat(self.pv.astype(np.float64), k))
+
+    def _geometry(self, cov_t, cov_t1, means_t):
+        """The scale transform A = U Lambda_{t+1}^(1/2) Lambda_t^(-1/2) U^T as
+        (a00, a01, a11), the offset (dx, dy) = p1 - mu_t, and the
+        intermediates the VJP reads, per contributor."""
+        u1, u2 = axes = self._axes()
+        lam = self._eigenvalues(cov_t, cov_t1, u1, u2)
+        guard = [np.clip(x, SINGULAR_EIG, np.inf) for x in lam]  # dropped rows: keep math finite
+        root1 = (guard[2] ** 0.5, guard[0] ** -0.5)
+        root2 = (guard[3] ** 0.5, guard[1] ** -0.5)
+        s1 = root1[0] * root1[1]
+        s2 = root2[0] * root2[1]
+        (v1x, v1y), (v2x, v2y) = u1, u2
+        a = (s1 * (v1x * v1x) + s2 * (v2x * v2x),
+             s1 * (v1x * v1y) + s2 * (v2x * v2y),
+             s1 * (v1y * v1y) + s2 * (v2y * v2y))
+        mu = means_t[self.it]
+        p1x, p1y = self._pixels()
+        return lam, guard, root1, root2, axes, a, (p1x - mu[:, 0], p1y - mu[:, 1])
+
+    def flow(self, cov_t, cov_t1, means_t, end_x, end_y) -> np.ndarray:
+        """(P, 2) weighted flow (p_hat - p1), with endpoint offsets end_* per contributor."""
+        (a00, a01, a11), (dx, dy) = self._geometry(cov_t, cov_t1, means_t)[-2:]
+        p1x, p1y = self._pixels()
+        n_pix, k = self.wn.shape
+        fx = (a00 * dx + a01 * dy + end_x - p1x).reshape(n_pix, k)
+        fy = (a01 * dx + a11 * dy + end_y - p1y).reshape(n_pix, k)
+        return np.stack([(fx * self.wn).sum(axis=1), (fy * self.wn).sum(axis=1)], axis=1)
+
+    def endpoint_grads(self, g):
+        """Each contributor's gradients (gx, gy) at its transported point,
+        from the (P, 2) gradient ``g`` of the weighted flow."""
+        return (g[:, 0][:, None] * self.wn).reshape(-1), (g[:, 1][:, None] * self.wn).reshape(-1)
+
+    def backward(self, gx, gy, cov_t, cov_t1, means_t, end_on_mean: bool) -> None:
+        """Accumulate the transform's gradients into ``means_t``, ``cov_t1`` and
+        ``cov_t``, each in the order and the rounding of the unfused tape.
+        ``end_on_mean``: the endpoint is offset from mu_t, so (gx, gy) reach
+        the frame-t means as well."""
+        lam, guard, root1, root2, (u1, u2), (a00, a01, a11), (dx, dy) = self._geometry(
+            cov_t.data, cov_t1.data, means_t.data)
+        g_dx = gy * a01 + gx * a00
+        g_dy = gy * a11 + gx * a01
+        mu_x, mu_y = (gx + -g_dx, gy + -g_dy) if end_on_mean else (-g_dx, -g_dy)
+        ad.accumulate_grad(means_t, ad.scatter_add(self.it, np.stack([mu_x, mu_y], axis=1),
+                                                   means_t.data.shape))
+
+        g_a00 = gx * dx
+        g_a01 = gy * dx + gx * dy
+        g_a11 = gy * dy
+        (v1x, v1y), (v2x, v2y) = u1, u2
+        g_s1 = g_a11 * (v1y * v1y) + g_a01 * (v1x * v1y) + g_a00 * (v1x * v1x)
+        g_s2 = g_a11 * (v2y * v2y) + g_a01 * (v2x * v2y) + g_a00 * (v2x * v2x)
+        # s = lam_t1^(1/2) * lam_t^(-1/2), each factor through the guard's clip
+        g_lam1_t = g_s1 * root1[0] * -0.5 * guard[0] ** -1.5 * _inside(lam[0])
+        g_lam2_t = g_s2 * root2[0] * -0.5 * guard[1] ** -1.5 * _inside(lam[1])
+        g_lam1_t1 = g_s1 * root1[1] * 0.5 * guard[2] ** -0.5 * _inside(lam[2])
+        g_lam2_t1 = g_s2 * root2[1] * 0.5 * guard[3] ** -0.5 * _inside(lam[3])
+        _quad_vjp(cov_t1, self.it1, *u2, g_lam2_t1)
+        _quad_vjp(cov_t1, self.it1, *u1, g_lam1_t1)
+        _quad_vjp(cov_t, self.it, *u2, g_lam2_t)
+        _quad_vjp(cov_t, self.it, *u1, g_lam1_t)
+
+    def sparse(self, vec: Tensor) -> SparseFlow:
+        return SparseFlow(self.shape, self.pv, self.pu, vec, self.ok)
+
+
+def _quad(cov: np.ndarray, idx, ux, uy) -> np.ndarray:
+    """u^T Sigma u of the flat covariance rows ``idx`` along unit axes (ux, uy)."""
+    ca = cov[idx]
+    return ca[:, 0] * (ux * ux) + ca[:, 1] * (ux * uy) * 2.0 + ca[:, 2] * (uy * uy)
+
+
+def _quad_vjp(cov: Tensor, idx, ux, uy, g) -> None:
+    """Accumulate the gradient ``g`` of ``_quad(cov.data, idx, ux, uy)`` into ``cov``."""
+    cols = np.stack([g * (ux * ux), g * 2.0 * (ux * uy), g * (uy * uy)], axis=1)
+    ad.accumulate_grad(cov, ad.scatter_add(idx, cols, cov.data.shape))
+
+
+def _inside(lam) -> np.ndarray:
+    """Where the eigenvalue guard passes its gradient (as ``ad.clip`` does)."""
+    return (lam >= SINGULAR_EIG) & (lam <= np.inf)
 
 
 def gaussian_flow(out_t, out_t1) -> SparseFlow:
-    """Particle-transport flow from render t to projection t+1 over the covered pixels."""
+    """Particle-transport flow from render t to projection t+1 over the
+    covered pixels; one tape node with a hand-written VJP."""
     tr = _Transport(out_t, out_t1)
-    m2d_t1 = ad.take_rows(out_t1.means2d, tr.it1.reshape(-1))
-    return tr.combine(m2d_t1[:, 0], m2d_t1[:, 1])
+    cov_t, cov_t1, means_t, means_t1 = out_t.cov2d, out_t1.cov2d, out_t.means2d, out_t1.means2d
+    end = means_t1.data[tr.it1]
+
+    def vjp(g):
+        gx, gy = tr.endpoint_grads(g)
+        ad.accumulate_grad(means_t1, ad.scatter_add(tr.it1, np.stack([gx, gy], axis=1),
+                                                    means_t1.data.shape))
+        tr.backward(gx, gy, cov_t, cov_t1, means_t, end_on_mean=False)
+
+    vec = tr.flow(cov_t.data, cov_t1.data, means_t.data, end[:, 0], end[:, 1])
+    return tr.sparse(ad.record(vec, (cov_t, cov_t1, means_t, means_t1), vjp, "gaussian_flow"))
 
 
 def project_velocity(camera, means2d: Tensor, depths: Tensor, v_world: Tensor) -> Tensor:
@@ -319,14 +396,25 @@ def velocity_flow(out_t, out_t1, v_world: Tensor, dt: float) -> SparseFlow:
     ``v_world`` holds world-space velocities (per unit normalized time) for
     the *visible rows* of the frame-t render; dt is the frame interval in
     normalized time. The covariance transport is the same scale transform
-    as ``gaussian_flow``'s, built again here (see ``_Transport``).
+    as ``gaussian_flow``'s, built again here (see ``_Transport``). The
+    pixel velocities stay on the tape; the transport is one node with a
+    hand-written VJP.
     """
     tr = _Transport(out_t, out_t1)
     vbar = project_velocity(out_t.camera, out_t.means2d, out_t.depths, v_world)
-    vbar_g = ad.take_rows(vbar, tr.it.reshape(-1))
-    end_x = ad.add(tr.mu_t_x, ad.mul(vbar_g[:, 0], float(dt)))
-    end_y = ad.add(tr.mu_t_y, ad.mul(vbar_g[:, 1], float(dt)))
-    return tr.combine(end_x, end_y)
+    dt = float(dt)
+    cov_t, cov_t1, means_t = out_t.cov2d, out_t1.cov2d, out_t.means2d
+    mu, vb = means_t.data[tr.it], vbar.data[tr.it]
+
+    def vjp(g):
+        gx, gy = tr.endpoint_grads(g)
+        ad.accumulate_grad(vbar, ad.scatter_add(tr.it, np.stack([gx * dt, gy * dt], axis=1),
+                                                vbar.data.shape))
+        tr.backward(gx, gy, cov_t, cov_t1, means_t, end_on_mean=True)
+
+    vec = tr.flow(cov_t.data, cov_t1.data, means_t.data,
+                  mu[:, 0] + vb[:, 0] * dt, mu[:, 1] + vb[:, 1] * dt)
+    return tr.sparse(ad.record(vec, (cov_t, cov_t1, means_t, vbar), vjp, "velocity_flow"))
 
 
 def frame_pair_flows(out_t, out_t1, ids: np.ndarray, material, normalizer):

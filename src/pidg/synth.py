@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import camera_from_fov
+from .config import _set_fields
 from .flow import FlowField, _pixel_grid, surface_points
 from .render import RenderSettings, render
 from .scene import SH_C0, GaussianCloud
@@ -98,11 +99,13 @@ class SceneSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneSpec":
+        """The spec a JSON object describes, by the run config's type rule.
+        Raises ``ValueError`` with one line per unknown field and per value
+        of the wrong type."""
         spec = cls()
-        for k, v in d.items():
-            if not hasattr(spec, k):
-                raise ValueError(f"unknown scene spec field {k!r}")
-            setattr(spec, k, tuple(v) if isinstance(getattr(spec, k), tuple) else v)
+        errors = _set_fields(spec, d, "", "scene spec")
+        if errors:
+            raise ValueError("\n".join(errors))
         return spec
 
 

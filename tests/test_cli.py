@@ -1,6 +1,11 @@
 """End-to-end command-line flows: synth -> train -> render / eval."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +119,54 @@ def test_train_reports_config_file_errors(tmp_path, capsys, config, error):
     p.write_text(json.dumps(config))
     assert main(["train", "--config", str(p), "--scene", "x", "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["train", "synth"])
+@pytest.mark.parametrize("name, reason", [("nope.json", "No such file or directory"),
+                                          ("a_dir", "Is a directory")])
+def test_missing_or_unreadable_config_file_is_an_error(tmp_path, capsys, command, name, reason):
+    (tmp_path / "a_dir").mkdir()
+    path = tmp_path / name
+    args = ["--scene", "x"] if command == "train" else []
+    assert main([command, "--config", str(path), *args, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: cannot read config file {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("spec, error", [
+    ({"frames": "8"}, "frames must be int, not '8'"),
+    ([1], "scene spec must be a JSON object"),
+    ({"translate": [0.3, 0.1]}, "translate must be a list of 3 numbers, not [0.3, 0.1]"),
+    ({"center": [0.0, True, 0.0]}, "center must be a list of 3 numbers, not [0.0, True, 0.0]"),
+])
+def test_synth_reports_spec_value_errors(tmp_path, capsys, spec, error):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(spec))
+    assert main(["synth", "--config", str(p), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core: BLAS runs one thread either way")
+def test_seeded_run_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """With 1200 particles a weight-gradient product reduces over 1200 rows,
+    which OpenBLAS rounds differently with one thread than with several. A
+    CLI run with the BLAS variables unset equals one with them at 1."""
+    assert main(["synth", "--seed", "3", "--out", str(tmp_path / "scene")]) == 0
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"init_particles": 1200, "max_particles": 1200}))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    runs = []
+    for pinned in (False, True):
+        run_env = dict(env, **dict.fromkeys(BLAS_THREAD_VARS, "1")) if pinned else env
+        subprocess.run([sys.executable, "-m", "pidg.cli", "train", "--config", str(cfg), "--scene", "scene",
+                        "--iters", "3", "--seed", "5", "--out", "run"],
+                       cwd=tmp_path, env=run_env, check=True, capture_output=True)
+        runs.append([(tmp_path / "run" / name).read_bytes() for name in ("metrics.csv", "final.pidg")])
+        shutil.rmtree(tmp_path / "run")
+    assert runs[0] == runs[1]
 
 
 def test_train_requires_scene(tmp_path, capsys):

@@ -1,23 +1,32 @@
 """Flow geometry and the two flow predictions, checked on hand-built scenes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import pidg.autodiff as ad
 from pidg.camera import Camera, camera_from_fov
+from pidg.config import RunConfig
+from pidg.deform import DeformConfig
 from pidg.flow import (
+    SINGULAR_EIG,
     FlowField,
     SparseFlow,
     bilinear_sample,
     decompose_backward,
     eig2x2,
+    frame_pair_flows,
     gaussian_flow,
     lpfm_loss,
     project_velocity,
     velocity_flow,
     warp_flow_forward,
 )
-from pidg.render import RenderOutput
+from pidg.material import MaterialConfig
+from pidg.render import Projection, RenderOutput, project, render
+from pidg.synth import SceneSpec, generate, scene_data
+from pidg.train import Trainer, model_params
 
 
 # ---------------------------------------------------------------- basic types
@@ -347,3 +356,264 @@ def test_lpfm_loss_rejects_mismatched_pixel_sets():
                        ad.constant(np.zeros((2, 2))), np.array([True, True]))
         with pytest.raises(ValueError):
             lpfm_loss(g, v, FlowField.zeros(2, 2), np.ones((2, 2)), 0.5, 0.5)
+
+
+# ---------------------------------------------------------------- fused transport
+
+def _flows_oracle(out_t, out_t1, v_world, dt):
+    """Both flow predictions as the unfused tape composition: every
+    per-contributor step of the transport is its own tape node."""
+
+    class Transport:
+        def __init__(self):
+            topk = out_t.topk_rows
+            self.shape = topk.shape[:2]
+            self.pv, self.pu = np.nonzero(topk[..., 0] >= 0)
+            rows = topk[self.pv, self.pu]
+            self.weights = out_t.topk_weights[self.pv, self.pu]
+            n_rows = int(max(rows.max(initial=0), out_t.visible_rows.max(initial=0),
+                             out_t1.visible_rows.max(initial=0))) + 1
+            pos_t, pos_t1 = np.full(n_rows, -1), np.full(n_rows, -1)
+            pos_t[out_t.visible_rows] = np.arange(len(out_t.visible_rows))
+            pos_t1[out_t1.visible_rows] = np.arange(len(out_t1.visible_rows))
+            safe = np.where(rows >= 0, rows, 0)
+            it, it1 = pos_t[safe], pos_t1[safe]
+            self.keep = (rows >= 0) & (it >= 0) & (it1 >= 0)
+            self.it = np.where(self.keep, it, 0)
+            self.it1 = np.where(self.keep, it1, 0)
+            cov_t, cov_t1 = out_t.cov2d, out_t1.cov2d
+            _, u_np = eig2x2(cov_t.data[:, 0], cov_t.data[:, 1], cov_t.data[:, 2])
+
+            def quad(cov, idx, col_u):
+                ca = ad.take_rows(cov, idx)
+                ux, uy = col_u
+                return (ad.mul(ca[:, 0], ux * ux) + 2.0 * ad.mul(ca[:, 1], ux * uy)
+                        + ad.mul(ca[:, 2], uy * uy))
+
+            it_f, it1_f = self.it.reshape(-1), self.it1.reshape(-1)
+            u1 = (u_np[it_f, 0, 0], u_np[it_f, 1, 0])
+            u2 = (u_np[it_f, 0, 1], u_np[it_f, 1, 1])
+            lam1_t, lam2_t = quad(cov_t, it_f, u1), quad(cov_t, it_f, u2)
+            lam1_t1, lam2_t1 = quad(cov_t1, it1_f, u1), quad(cov_t1, it1_f, u2)
+            sing = ((lam1_t.data < SINGULAR_EIG) | (lam2_t.data < SINGULAR_EIG)
+                    | (lam1_t1.data < SINGULAR_EIG) | (lam2_t1.data < SINGULAR_EIG))
+            self.keep &= ~sing.reshape(self.keep.shape)
+            guard = lambda t: ad.clip(t, SINGULAR_EIG, np.inf)
+            s1 = ad.mul(ad.pow_const(guard(lam1_t1), 0.5), ad.pow_const(guard(lam1_t), -0.5))
+            s2 = ad.mul(ad.pow_const(guard(lam2_t1), 0.5), ad.pow_const(guard(lam2_t), -0.5))
+            (v1x, v1y), (v2x, v2y) = u1, u2
+            self.a00 = ad.mul(s1, v1x * v1x) + ad.mul(s2, v2x * v2x)
+            self.a01 = ad.mul(s1, v1x * v1y) + ad.mul(s2, v2x * v2y)
+            self.a11 = ad.mul(s1, v1y * v1y) + ad.mul(s2, v2y * v2y)
+            m2d_t = ad.take_rows(out_t.means2d, it_f)
+            self.mu_t_x, self.mu_t_y = m2d_t[:, 0], m2d_t[:, 1]
+            self.p1x = np.repeat(self.pu.astype(np.float64), self.keep.shape[1])
+            self.p1y = np.repeat(self.pv.astype(np.float64), self.keep.shape[1])
+            self.dx = ad.sub(ad.constant(self.p1x), self.mu_t_x)
+            self.dy = ad.sub(ad.constant(self.p1y), self.mu_t_y)
+
+        def combine(self, end_x, end_y):
+            fx = ad.add(ad.mul(self.a00, self.dx), ad.mul(self.a01, self.dy))
+            fy = ad.add(ad.mul(self.a01, self.dx), ad.mul(self.a11, self.dy))
+            fx = ad.sub(ad.add(fx, end_x), ad.constant(self.p1x))
+            fy = ad.sub(ad.add(fy, end_y), ad.constant(self.p1y))
+            wn = self.weights * self.keep
+            tot = wn.sum(axis=1)
+            ok = tot > 0.0
+            wn = wn / np.where(ok, tot, 1.0)[:, None]
+            n_pix, k = self.keep.shape
+            fxw = ad.sum_(ad.mul(ad.reshape(fx, (n_pix, k)), wn), axis=1)
+            fyw = ad.sum_(ad.mul(ad.reshape(fy, (n_pix, k)), wn), axis=1)
+            return SparseFlow(self.shape, self.pv, self.pu, ad.stack([fxw, fyw], axis=1), ok)
+
+    tr = Transport()
+    m2d_t1 = ad.take_rows(out_t1.means2d, tr.it1.reshape(-1))
+    flow_g = tr.combine(m2d_t1[:, 0], m2d_t1[:, 1])
+    tr = Transport()
+    vbar = project_velocity(out_t.camera, out_t.means2d, out_t.depths, v_world)
+    vbar_g = ad.take_rows(vbar, tr.it.reshape(-1))
+    end_x = ad.add(tr.mu_t_x, ad.mul(vbar_g[:, 0], float(dt)))
+    end_y = ad.add(tr.mu_t_y, ad.mul(vbar_g[:, 1], float(dt)))
+    return flow_g, tr.combine(end_x, end_y)
+
+
+def _transport_case(seed, h=6, w=7, k=4, n=14, t1_as="render", singular=(), hidden_t1=(),
+                    covered=True):
+    """Random frame pair over hand-built visible rows; ``build()`` returns fresh
+    leaf tensors (out_t, out_t1, v_world) each call. Rows in ``singular`` get a
+    degenerate covariance at t+1; rows in ``hidden_t1`` are not visible at t+1."""
+    rng = np.random.default_rng(seed)
+    cam = camera_from_fov((0.2, -0.1, -3.0), (0.0, 0.0, 0.0), 45.0, w, h)
+    rows_t = rng.permutation(n + 3)[:n]  # cloud rows visible at t, not 0..n-1
+    rows_t1 = np.array([r for r in rng.permutation(rows_t) if r not in set(rows_t[list(hidden_t1)])])
+
+    def covs(m):
+        lam = rng.uniform(0.3, 4.0, (m, 2))
+        th = rng.uniform(0.0, np.pi, m)
+        c, s = np.cos(th), np.sin(th)
+        return np.stack([lam[:, 0] * c * c + lam[:, 1] * s * s, (lam[:, 0] - lam[:, 1]) * c * s,
+                         lam[:, 0] * s * s + lam[:, 1] * c * c], axis=1)
+
+    means_t = rng.uniform(0.0, w, (n, 2))
+    cov_t = covs(n)
+    pos_t1 = {r: i for i, r in enumerate(rows_t1)}
+    m = len(rows_t1)
+    means_t1 = rng.uniform(0.0, w, (m, 2))
+    cov_t1 = covs(m)
+    for i in singular:
+        if rows_t[i] in pos_t1:
+            cov_t1[pos_t1[rows_t[i]]] = [1e-14, 0.0, 1e-14]
+    depths = rng.uniform(2.0, 4.0, n)
+    v_world = rng.normal(scale=0.5, size=(n, 3))
+    topk = rows_t[rng.integers(0, n, (h, w, k))]  # repeats rows within and across pixels
+    topk[rng.uniform(size=(h, w, k)) < 0.3] = -1  # -1 pads, some pixels uncovered
+    topk[0, 1] = [rows_t[0], rows_t[0]] + [-1] * (k - 2)  # one row, repeated, and pads
+    if not covered:
+        topk[:] = -1
+    weights = np.where(topk >= 0, rng.uniform(0.05, 1.0, (h, w, k)), 0.0)
+    gt = FlowField(rng.normal(scale=1.5, size=(h, w, 2)), np.ones((h, w), dtype=bool))
+    mask = np.ones((h, w))
+
+    def build():
+        out_t = RenderOutput(ad.constant(np.zeros((h, w, 4))), np.ones((h, w)), topk, weights, rows_t,
+                             ad.parameter(means_t), ad.parameter(cov_t), ad.parameter(depths), cam, 0.0)
+        if t1_as == "render":
+            out_t1 = RenderOutput(ad.constant(np.zeros((h, w, 4))), np.ones((h, w)), topk, weights,
+                                  rows_t1, ad.parameter(means_t1), ad.parameter(cov_t1),
+                                  ad.constant(np.full(m, 3.0)), cam, 0.25)
+        else:
+            out_t1 = Projection(rows_t1, ad.constant(np.zeros((m, 3))), ad.parameter(means_t1),
+                                ad.parameter(cov_t1), ad.constant(np.ones((m, 3))),
+                                ad.constant(np.full(m, 3.0)), cam, 0.25)
+        return out_t, out_t1, ad.parameter(v_world)
+
+    return build, gt, mask
+
+
+def _run_flows(flows, out_t, out_t1, v_world, gt, mask):
+    """Both flows, then their flow-matching loss's gradients at the inputs."""
+    with ad.Tape() as tape:
+        flow_g, flow_v = flows(out_t, out_t1, v_world, 0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a case may supervise no pixel
+            loss = lpfm_loss(flow_g, flow_v, gt, mask, 0.5, 0.5)
+        inputs = [out_t.means2d, out_t1.means2d, out_t.cov2d, out_t1.cov2d, out_t.depths, v_world]
+        grads = tape.grad(loss, inputs) if loss.requires_grad else [None] * len(inputs)
+    return flow_g, flow_v, grads
+
+
+def _fused_flows(out_t, out_t1, v_world, dt):
+    return gaussian_flow(out_t, out_t1), velocity_flow(out_t, out_t1, v_world, dt)
+
+
+def _assert_fused_matches_oracle(build, gt, mask):
+    got = _run_flows(_fused_flows, *build(), gt, mask)
+    want = _run_flows(_flows_oracle, *build(), gt, mask)
+    for f_got, f_want in zip(got[:2], want[:2]):
+        assert f_got.vec.data.tobytes() == f_want.vec.data.tobytes()
+        assert f_got.valid.tobytes() == f_want.valid.tobytes()
+    for name, g_got, g_want in zip(("means2d_t", "means2d_t1", "cov_t", "cov_t1", "depths", "v_world"),
+                                   got[2], want[2]):
+        assert (g_got is None) == (g_want is None), name
+        assert g_got is None or g_got.tobytes() == g_want.tobytes(), name
+    return got
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("t1_as", ["render", "projection"])
+def test_fused_flows_match_tape_oracle(seed, t1_as):
+    build, gt, mask = _transport_case(seed, t1_as=t1_as, hidden_t1=(5,))
+    flow_g, flow_v, grads = _assert_fused_matches_oracle(build, gt, mask)
+    assert flow_g.valid.any() and flow_v.valid.any()
+    assert all(np.any(g != 0.0) for g in grads)
+
+
+def test_fused_flows_match_oracle_with_dropped_contributors():
+    # rows 0-3 are singular at t+1 and rows 4-6 hidden at t+1; pixel (0, 1)
+    # holds only row 0, so all of its contributors are dropped
+    build, gt, mask = _transport_case(7, singular=(0, 1, 2, 3), hidden_t1=(4, 5, 6))
+    flow_g, _, grads = _assert_fused_matches_oracle(build, gt, mask)
+    hit = (flow_g.pix_v == 0) & (flow_g.pix_u == 1)
+    assert hit.any() and not flow_g.valid[hit].any()
+    assert all(np.any(g != 0.0) for g in grads)
+
+
+def test_fused_flows_match_oracle_with_no_covered_pixel():
+    build, gt, mask = _transport_case(8, covered=False)
+    flow_g, flow_v, grads = _assert_fused_matches_oracle(build, gt, mask)
+    assert flow_g.vec.shape == flow_v.vec.shape == (0, 2)
+
+
+def test_fused_flows_match_oracle_on_a_trained_frame_pair():
+    """A real stage-2 frame pair through ``frame_pair_flows``: both flows and
+    the gradient at every flow input and model parameter are bit-equal."""
+    cfg = RunConfig(iterations=4, stage_switch=0.25, init_particles=20, max_particles=40, top_k=4,
+                    cmr_samples=8, cmr_block=8,
+                    deform=DeformConfig(spatial_levels=2, spatial_base=4, spatial_max=8,
+                                        temporal_levels=2, time_base=2, time_max=4, table_size_log2=8,
+                                        feature_dim=2, attn_width=8, hidden_width=16),
+                    material=MaterialConfig(plane_levels=2, plane_base=4, plane_max=8, table_size=256,
+                                            fourier_n=2, embed_dim=4, hidden_width=16))
+    data = scene_data(generate(SceneSpec(variant="rigid", frames=3, width=24, height=24,
+                                         num_particles=12, translate=(0.3, 0.1, 0.0),
+                                         base_scale=0.07, seed=5)))
+    tr = Trainer(cfg, data)
+    tr.step()
+    tr.step()
+    f = 1
+    model = dict(deform_field=tr.deform, normalizer=tr.normalizer, respect_dynamic_mask=True)
+    params = list(model_params(tr.cloud, tr.deform, tr.material).values())
+    results = []
+    for fused in (True, False):
+        with ad.Tape() as tape:
+            out = render(tr.cloud, data.cameras[f], data.times[f], settings=tr.settings, **model)
+            out1 = project(tr.cloud, data.cameras[f + 1], data.times[f + 1], **model)
+            if fused:
+                flow_g, flow_v, v_world = frame_pair_flows(out, out1, tr.cloud.ids, tr.material,
+                                                           tr.normalizer)
+            else:
+                p4 = tr.normalizer.unit4_np(out.positions_world, out.t)
+                v_norm, _ = tr.material.evaluate(p4, tr.cloud.ids[out.visible_rows])
+                v_world = ad.mul(v_norm, tr.normalizer.scale)
+                flow_g, flow_v = _flows_oracle(out, out1, v_world, out1.t - out.t)
+            loss = lpfm_loss(flow_g, flow_v, tr._gt_flow(f), data.masks[f], 0.5, 0.5)
+            inputs = [out.means2d, out1.means2d, out.cov2d, out1.cov2d, out.depths, v_world]
+            grads = tape.grad(loss, inputs + params)
+        results.append((flow_g, flow_v, grads))
+    (g_f, v_f, grads_f), (g_o, v_o, grads_o) = results
+    for a, b in ((g_f, g_o), (v_f, v_o)):
+        assert a.vec.data.tobytes() == b.vec.data.tobytes() and a.valid.tobytes() == b.valid.tobytes()
+    assert g_f.valid.any()
+    for i, (a, b) in enumerate(zip(grads_f, grads_o)):
+        assert a.tobytes() == b.tobytes(), i
+    assert all(np.any(g != 0.0) for g in grads_f[:6])
+
+
+def test_fused_flow_nan_covariance_aborts():
+    build, _, _ = _transport_case(9)
+    out_t, out_t1, v_world = build()
+    out_t1.cov2d.data[:] = np.nan
+    with ad.Tape():
+        with pytest.raises(ad.NonFiniteError, match="gaussian_flow"):
+            gaussian_flow(out_t, out_t1)
+        with pytest.raises(ad.NonFiniteError, match="velocity_flow"):
+            velocity_flow(out_t, out_t1, v_world, 0.25)
+
+
+def test_stage2_step_records_one_node_per_flow_prediction(monkeypatch):
+    cfg = RunConfig(iterations=4, stage_switch=0.25, init_particles=20, max_particles=40, top_k=4,
+                    cmr_samples=8, cmr_block=8)
+    data = scene_data(generate(SceneSpec(variant="rigid", frames=3, width=24, height=24,
+                                         num_particles=12, seed=5)))
+    tr = Trainer(cfg, data)
+    tr.step()
+    ops = []
+    backward = ad.Tape.backward
+
+    def counting_backward(tape, out, seed=1.0):
+        ops.extend(node.op for node in tape.nodes)
+        return backward(tape, out, seed)
+
+    monkeypatch.setattr(ad.Tape, "backward", counting_backward)
+    assert tr.stage() == 2 and tr.step()["loss_lpfm"] > 0.0
+    assert ops.count("gaussian_flow") == 1 and ops.count("velocity_flow") == 1

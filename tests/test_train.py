@@ -148,6 +148,12 @@ def test_config_rejects_zero_grid_levels(name):
     ("material.plane_base", 0, ">= 1"),
     ("material.plane_max", 0, ">= 1"),
     ("material.table_size", 0, ">= 1"),
+    ("deform.table_size_log2", 0, ">= 1"),
+    ("deform.time_base", 0, ">= 1"),
+    ("deform.time_max", 0, ">= 1"),
+    ("deform.hidden_width", 0, ">= 1"),
+    ("material.embed_dim", 0, ">= 1"),
+    ("material.hidden_width", 0, ">= 1"),
     ("material.rho", 0.0, "> 0"),
     ("material.rho", -1.0, "> 0"),
 ])
@@ -155,6 +161,22 @@ def test_config_rejects_field_sizes_that_break_the_model(name, value, rule):
     section, key = name.split(".")
     cfg = RunConfig.from_dict({section: {key: value}})
     assert cfg.validate() == [f"{name} must be {rule}"]
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("iterations", "60", "iterations must be int, not '60'"),
+    ("lambda_c", None, "lambda_c must be float, not None"),
+    ("deform.feature_dim", 2.0, "deform.feature_dim must be int, not 2.0"),
+    ("material.rho", "1", "material.rho must be float, not '1'"),
+])
+def test_validate_reports_wrong_typed_fields(field, value, error):
+    """A value of the wrong type, set in Python rather than through
+    ``from_dict``, is an error line, and the other fields still check."""
+    cfg = RunConfig(iterations=0)
+    section, _, key = field.rpartition(".")
+    setattr(getattr(cfg, section) if section else cfg, key, value)
+    want = [error] if field == "iterations" else [error, "iterations must be >= 1"]
+    assert sorted(cfg.validate()) == sorted(want)
 
 
 # -- stages and metrics --------------------------------------------------------
