@@ -1,8 +1,8 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-The graph is recorded on an explicit tape: every operation appends its output
-node in creation order, and the gradient pass walks the node list in exact
-reverse creation order (which is automatically a topological order). Values
+The graph is recorded on an explicit tape: every operation appends one node in
+creation order, and the gradient pass walks the node list in exact reverse
+creation order (which is automatically a topological order). Values
 live in numpy arrays; an operation on vectors of N particles is a single node,
 so the tape stays short even for large scenes.
 
@@ -11,6 +11,8 @@ is active raises ``NonFiniteError`` identifying the offending node.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +47,15 @@ class Tape:
     tensors (parameters/inputs). An intermediate node's gradient is released
     as soon as its VJP has run: the sweep goes in reverse creation order, so
     nothing adds to it afterwards. The tape can keep recording and be swept
-    again. With ``keep_graph=False`` the tape still checks every value but
-    records nothing: its outputs are detached and no operation keeps
-    backward state, which suits forward-only work such as evaluation.
+    again. A node is an op's output tensor, or a ``_MultiNode`` for an op
+    with several outputs. With ``keep_graph=False`` the tape still checks
+    every value but records nothing: its outputs are detached and no
+    operation keeps backward state, which suits forward-only work such as
+    evaluation.
     """
 
     def __init__(self, keep_graph: bool = True):
-        self.nodes: list[Tensor] = []
+        self.nodes: list[Tensor | _MultiNode] = []
         self.keep_graph = keep_graph
 
     def __enter__(self) -> "Tape":
@@ -64,43 +68,43 @@ class Tape:
 
     def backward(self, out: "Tensor", seed: float = 1.0) -> None:
         """Accumulate d(seed * out)/d(leaf) into every reachable leaf's .grad."""
-        self._sweep(out, seed, keep=())
-
-    def grad(self, out: "Tensor", inputs) -> list[np.ndarray]:
-        """Gradient of a scalar ``out`` with respect to each tensor in ``inputs``.
-
-        Rejects non-scalar outputs and detached inputs. Existing ``.grad``
-        content on the inputs is discarded, not accumulated into. An input
-        may be an intermediate node of this tape.
-        """
-        inputs = list(inputs)
-        for x in inputs:
-            if not x.requires_grad:
-                raise ValueError("grad() input is detached (requires_grad=False)")
-        for x in inputs:
-            x.grad = None
-        self._sweep(out, 1.0, keep=inputs)
-        grads = [x.grad.copy() if x.grad is not None else np.zeros_like(x.data) for x in inputs]
-        for x in inputs:
-            if x._vjp is not None:  # an intermediate node: released like the rest
-                x.grad = None
-        return grads
-
-    def _sweep(self, out: "Tensor", seed: float, keep) -> None:
-        """The reverse sweep from ``out``; the nodes in ``keep`` hold their
-        gradient past their VJP."""
         if out.data.size != 1:
             raise ValueError("backward root must be a scalar (size-1) tensor")
         if out.grad is None:
             out.grad = np.full_like(out.data, float(seed))
         else:
             out.grad = out.grad + float(seed)
-        kept = {id(x) for x in keep}
         for node in reversed(self.nodes):
-            if node.grad is not None:
-                node._vjp(node.grad)
-                if id(node) not in kept:
+            if isinstance(node, Tensor):
+                if node.grad is not None:
+                    node._vjp(node.grad)
                     node.grad = None
+            else:
+                grads = tuple(t.grad for t in node.outputs)
+                if any(g is not None for g in grads):
+                    node._vjp(grads)
+                    for t in node.outputs:
+                        t.grad = None
+
+    def grad(self, out: "Tensor", inputs) -> list[np.ndarray]:
+        """Gradient of a scalar ``out`` at each leaf tensor in ``inputs``: a
+        ``backward`` from fresh ``.grad`` on them. Rejects detached inputs, and
+        intermediates, whose gradient the sweep releases."""
+        for x in inputs:
+            if not x.requires_grad or x._parents:
+                raise ValueError("grad() inputs must be leaf tensors that require gradients")
+            x.grad = None
+        self.backward(out)
+        return [x.grad.copy() if x.grad is not None else np.zeros_like(x.data) for x in inputs]
+
+
+@dataclass(slots=True)
+class _MultiNode:
+    """The tape entry of an op with several outputs: one VJP over all of them."""
+
+    op: str
+    outputs: tuple
+    _vjp: object = None
 
 
 class Tensor:
@@ -178,28 +182,39 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def record(out_data: np.ndarray, parents, vjp, op: str) -> Tensor:
+def record(out_data, parents, vjp, op: str):
     """Create an op output, attach it to the active tape if gradients are needed.
 
     ``vjp(g)`` must accumulate into the parents via ``accumulate_grad``. This is
     also the entry point for fused custom operations (hash-grid interpolation,
     the rasterizer) whose backward rules are hand-written.
+
+    ``out_data`` may be a tuple of arrays. The op then returns a tuple of
+    tensors and is one tape entry: the sweep calls ``vjp`` once with the
+    tuple of the outputs' gradients, ``None`` for an output nothing reached.
     """
     tape = active_tape()
     parents = tuple(parents)
     needs = tape is not None and tape.keep_graph and any(p.requires_grad for p in parents)
-    out = Tensor(out_data, requires_grad=needs, op=op)
+    if isinstance(out_data, tuple):
+        outs = tuple(Tensor(d, requires_grad=needs, op=op) for d in out_data)
+        node = _MultiNode(op, outs)
+    else:
+        node = Tensor(out_data, requires_grad=needs, op=op)
+        outs = (node,)
     if tape is not None:
-        if not np.all(np.isfinite(out.data)):
-            raise NonFiniteError(
-                f"non-finite value in op '{op}' (node {len(tape.nodes)}; "
-                f"parents: {[p.op for p in parents]})"
-            )
+        for out in outs:
+            if not np.all(np.isfinite(out.data)):
+                raise NonFiniteError(
+                    f"non-finite value in op '{op}' (node {len(tape.nodes)}; "
+                    f"parents: {[p.op for p in parents]})"
+                )
         if needs:
-            out._parents = parents
-            out._vjp = vjp
-            tape.nodes.append(out)
-    return out
+            for out in outs:
+                out._parents = parents
+            node._vjp = vjp
+            tape.nodes.append(node)
+    return node if isinstance(node, Tensor) else outs
 
 
 # -- elementwise ---------------------------------------------------------------
@@ -343,11 +358,8 @@ def sum_(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
 
     def vjp(g):
-        if axis is None:
-            accumulate_grad(a, np.broadcast_to(g, a.data.shape))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            accumulate_grad(a, np.broadcast_to(gg, a.data.shape))
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
+        accumulate_grad(a, np.broadcast_to(gg, a.data.shape))
 
     return record(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp, "sum")
 
@@ -357,11 +369,8 @@ def mean(a, axis=None, keepdims=False) -> Tensor:
     n = a.data.size if axis is None else np.prod([a.data.shape[i] for i in np.atleast_1d(axis)])
 
     def vjp(g):
-        if axis is None:
-            accumulate_grad(a, np.broadcast_to(g / n, a.data.shape))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            accumulate_grad(a, np.broadcast_to(gg / n, a.data.shape))
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
+        accumulate_grad(a, np.broadcast_to(gg / n, a.data.shape))
 
     return record(a.data.mean(axis=axis, keepdims=keepdims), (a,), vjp, "mean")
 

@@ -199,60 +199,50 @@ class PlaneGrid2D(_LevelTables):
     def interpolate(self, coords: Tensor, with_partials: bool = False):
         """Summed bilinear interpolation at (N, 2) points in [0,1]^2.
 
-        With ``with_partials`` the returned tuple is (value, d/du, d/dv); all
-        three are differentiable with respect to the level tables.
+        With ``with_partials`` the returned tuple is (value, d/du, d/dv), the
+        plane's jet: one tape node whose outputs are all differentiable with
+        respect to the level tables and the query coordinates.
         """
         p = self._queries(coords)
         n_pts = p.shape[0]
-        val, du, dv = np.zeros(n_pts), np.zeros(n_pts), np.zeros(n_pts)
+        jet = tuple(np.zeros(n_pts) for _ in range(3 if with_partials else 1))
         saved = []
         for l, (nu, nv) in enumerate(self.level_res):
             idx, (wu, wv) = level_corners(p, (nu, nv), self.dense[l], self.table_size)  # idx: (4, N)
             entries = np.take(self.tables[l].data, idx)  # (4, N)
-            _add_corners(val, entries * wu[_BU] * wv[_BV])
-            _add_corners(du, entries * _SU * wv[_BV] * (nu - 1))
-            _add_corners(dv, entries * _SV * wu[_BU] * (nv - 1))
+            _add_corners(jet[0], entries * wu[_BU] * wv[_BV])
+            if with_partials:
+                _add_corners(jet[1], entries * _SU * wv[_BV] * (nu - 1))
+                _add_corners(jet[2], entries * _SV * wu[_BU] * (nv - 1))
             saved.append((idx, entries, wu, wv))
-        plane = self
 
-        def vjp_val(g):
-            for l, (nu, nv) in enumerate(plane.level_res):
-                idx, entries, wu, wv = saved[l]
-                table = plane.tables[l]
-                if table.requires_grad:
-                    accumulate_grad(table, scatter_add(idx, wu[_BU] * wv[_BV] * g, table.data.shape))
-                if coords.requires_grad:
-                    gu = _add_corners(np.zeros(n_pts), entries * _SU * wv[_BV])
-                    gv = _add_corners(np.zeros(n_pts), entries * _SV * wu[_BU])
-                    accumulate_grad(coords, np.stack([gu * (nu - 1) * g, gv * (nv - 1) * g], axis=1))
-
-        out_val = record(val, (coords, *self.tables), vjp_val, "plane2d")
-        if not with_partials:
-            return out_val
-
-        def make_partial_vjp(axis):
-            # axis 0: output is d(value)/du; axis 1: d(value)/dv
-            def vjp(g):
-                for l, (nu, nv) in enumerate(plane.level_res):
+        def vjp(grads):
+            # d/dv, then d/du, then the value, each over all levels: the order
+            # the coordinate gradient sums in across levels
+            for k, g in reversed(list(enumerate(grads))):
+                if g is None:
+                    continue
+                for l, (nu, nv) in enumerate(self.level_res):
                     idx, entries, wu, wv = saved[l]
-                    scale = (nu - 1) if axis == 0 else (nv - 1)
-                    table = plane.tables[l]
+                    table = self.tables[l]
+                    if k == 0:  # the value: the bilinear weights, and its slope along u and v
+                        coeff = wu[_BU] * wv[_BV]
+                        if coords.requires_grad:
+                            gu = _add_corners(np.zeros(n_pts), entries * _SU * wv[_BV])
+                            gv = _add_corners(np.zeros(n_pts), entries * _SV * wu[_BU])
+                            accumulate_grad(coords, np.stack([gu * (nu - 1) * g, gv * (nv - 1) * g], axis=1))
+                    else:  # a partial: its own-axis slope is 0, the other is the cross slope
+                        coeff = _SU * wv[_BV] * (nu - 1) if k == 1 else _SV * wu[_BU] * (nv - 1)
+                        if coords.requires_grad:
+                            cross = _add_corners(np.zeros(n_pts), entries * _SU * _SV)
+                            gc = np.zeros((n_pts, 2))
+                            gc[:, 2 - k] = cross * ((nu - 1) * (nv - 1) * g)
+                            accumulate_grad(coords, gc)
                     if table.requires_grad:
-                        coeff = _SU * wv[_BV] if axis == 0 else _SV * wu[_BU]
-                        accumulate_grad(table, scatter_add(idx, coeff * scale * g, table.data.shape))
-                    if coords.requires_grad:
-                        # cross slope: d(df/du)/dv and d(df/dv)/du; own-axis term is 0
-                        cross = _add_corners(np.zeros(n_pts), entries * _SU * _SV)
-                        cross *= (nu - 1) * (nv - 1) * g
-                        gc = np.zeros((n_pts, 2))
-                        gc[:, 1 - axis] = cross
-                        accumulate_grad(coords, gc)
+                        accumulate_grad(table, scatter_add(idx, coeff * g, table.data.shape))
 
-            return vjp
-
-        out_du = record(du, (coords, *self.tables), make_partial_vjp(0), "plane2d_du")
-        out_dv = record(dv, (coords, *self.tables), make_partial_vjp(1), "plane2d_dv")
-        return out_val, out_du, out_dv
+        outs = record(jet, (coords, *self.tables), vjp, "plane2d")
+        return outs if with_partials else outs[0]
 
 
 def decomposed_entry_count(n: int, feature_dim: int) -> int:

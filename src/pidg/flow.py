@@ -218,8 +218,8 @@ class _Transport:
     A flow node keeps only these arrays and its parents; the eigenvalues,
     the scale transform and the pixel offsets are recomputed from the
     parents' data in the forward and again in the VJP, by the same
-    expressions. Each flow prediction builds its own transport, as sharing
-    one would change the gradients' rounding.
+    expressions. The VJPs only read it, so ``frame_pair_flows`` builds one
+    for both flow predictions.
     """
 
     def __init__(self, out_t, out_t1):
@@ -353,10 +353,10 @@ def _inside(lam) -> np.ndarray:
     return (lam >= SINGULAR_EIG) & (lam <= np.inf)
 
 
-def gaussian_flow(out_t, out_t1) -> SparseFlow:
+def gaussian_flow(out_t, out_t1, *, _transport=None) -> SparseFlow:
     """Particle-transport flow from render t to projection t+1 over the
     covered pixels; one tape node with a hand-written VJP."""
-    tr = _Transport(out_t, out_t1)
+    tr = _transport or _Transport(out_t, out_t1)
     cov_t, cov_t1, means_t, means_t1 = out_t.cov2d, out_t1.cov2d, out_t.means2d, out_t1.means2d
     end = means_t1.data[tr.it1]
 
@@ -390,17 +390,16 @@ def project_velocity(camera, means2d: Tensor, depths: Tensor, v_world: Tensor) -
     return ad.stack([vx, vy], axis=1)
 
 
-def velocity_flow(out_t, out_t1, v_world: Tensor, dt: float) -> SparseFlow:
+def velocity_flow(out_t, out_t1, v_world: Tensor, dt: float, *, _transport=None) -> SparseFlow:
     """Advection flow: particles carried by their predicted velocity for dt.
 
     ``v_world`` holds world-space velocities (per unit normalized time) for
     the *visible rows* of the frame-t render; dt is the frame interval in
     normalized time. The covariance transport is the same scale transform
-    as ``gaussian_flow``'s, built again here (see ``_Transport``). The
-    pixel velocities stay on the tape; the transport is one node with a
-    hand-written VJP.
+    as ``gaussian_flow``'s (see ``_Transport``). The pixel velocities stay
+    on the tape; the transport is one node with a hand-written VJP.
     """
-    tr = _Transport(out_t, out_t1)
+    tr = _transport or _Transport(out_t, out_t1)
     vbar = project_velocity(out_t.camera, out_t.means2d, out_t.depths, v_world)
     dt = float(dt)
     cov_t, cov_t1, means_t = out_t.cov2d, out_t1.cov2d, out_t.means2d
@@ -429,8 +428,9 @@ def frame_pair_flows(out_t, out_t1, ids: np.ndarray, material, normalizer):
     p4 = normalizer.unit4_np(out_t.positions_world, out_t.t)
     v_norm, _ = material.evaluate(p4, ids[out_t.visible_rows])
     v_world = ad.mul(v_norm, normalizer.scale)
-    flow_g = gaussian_flow(out_t, out_t1)
-    flow_v = velocity_flow(out_t, out_t1, v_world, dt=out_t1.t - out_t.t)
+    tr = _Transport(out_t, out_t1)
+    flow_g = gaussian_flow(out_t, out_t1, _transport=tr)
+    flow_v = velocity_flow(out_t, out_t1, v_world, dt=out_t1.t - out_t.t, _transport=tr)
     return flow_g, flow_v, v_world
 
 

@@ -22,6 +22,3 @@ class JetVec:
 
     def partials(self):
         return (self.dx, self.dy, self.dz, self.dt)
-
-    def partial(self, axis: int):
-        return (self.dx, self.dy, self.dz, self.dt)[axis]

@@ -148,13 +148,9 @@ class MaterialField:
         for name, i, j in PLANE_AXES:
             val, d_i, d_j = self.planes[name].interpolate(ad.constant(p[:, (i, j)]), with_partials=True)
             vals.append(val)
+            zero = ad.constant(np.zeros(n_pts))
             for axis in range(4):
-                if axis == i:
-                    tangents[axis].append(d_i)
-                elif axis == j:
-                    tangents[axis].append(d_j)
-                else:
-                    tangents[axis].append(ad.constant(np.zeros(n_pts)))
+                tangents[axis].append(d_i if axis == i else d_j if axis == j else zero)
         feats = self._features(p, ids, vals)
         hash_tan = {a: ad.stack(tangents[a], axis=1) for a in range(4)}
         four_dt = ad.constant(fourier_time_tangent(p[:, 3], cfg.fourier_n))

@@ -79,9 +79,10 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: dict) -> None:
+        """Adopt checkpointed moments: float64 arrays are taken, not copied."""
         for name, slot in self.slots.items():
-            slot["m"] = np.array(arrays[f"{name}.m"], dtype=np.float64)
-            slot["v"] = np.array(arrays[f"{name}.v"], dtype=np.float64)
+            slot["m"] = np.asarray(arrays[f"{name}.m"], dtype=np.float64)
+            slot["v"] = np.asarray(arrays[f"{name}.v"], dtype=np.float64)
             slot["t"] = int(np.asarray(arrays[f"{name}.t"]).item())
 
 

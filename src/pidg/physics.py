@@ -45,7 +45,7 @@ def momentum_residual(vel: JetVec, sigma: JetVec, rho: float, include_advection:
                 acc = ad.add(acc, ad.mul(_col(vel.val, i), _col(spatial[i], j)))
         div = None
         for i in range(3):
-            term = _col(sigma.partial(i), _SIGMA_COLS[i][j])
+            term = _col(sigma.partials()[i], _SIGMA_COLS[i][j])
             div = term if div is None else ad.add(div, term)
         rows.append(ad.sub(ad.mul(acc, rho), div))
     return ad.stack(rows, axis=1)

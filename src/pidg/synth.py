@@ -88,6 +88,12 @@ class SceneSpec:
             errors.append("camera orbit has zero volume (orbit_radius must be > 0)")
         if self.width < 8 or self.height < 8:
             errors.append("image too small")
+        for name, ok, bounds in (("fov_deg", 0 < self.fov_deg < 180, "in (0, 180)"),
+                                 ("base_scale", self.base_scale > 0, "> 0"),
+                                 ("opacity", 0 < self.opacity <= 1, "in (0, 1]"),
+                                 ("coverage_threshold", 0 <= self.coverage_threshold < 1, "in [0, 1)")):
+            if not ok:
+                errors.append(f"{name} must be {bounds}, not {getattr(self, name)!r}")
         if self.variant == "elastic":
             c = np.sqrt((self.lam + 2.0 * self.mu) / self.rho)
             if self.amplitude / c >= 0.9:

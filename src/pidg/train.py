@@ -67,8 +67,8 @@ class Trainer:
             _, iteration, arrays, scalars = state
             self.cloud, self.deform, self.material = model_from_arrays(config, arrays)
             self.iteration = int(iteration)
-            self._grad_accum = np.array(arrays["densify.grad_accum"])
-            self._grad_count = np.array(arrays["densify.grad_count"])
+            self._grad_accum = arrays["densify.grad_accum"]
+            self._grad_count = arrays["densify.grad_count"]
             self.rng.bit_generator.state = _rng_state_from_json(scalars["rng_state"])
 
         self.opt = Adam()
@@ -441,8 +441,8 @@ def model_arrays(cloud: GaussianCloud, deform: DeformationField, material: Mater
 
 def model_from_arrays(config: RunConfig, arrays: dict):
     """Named checkpoint arrays -> (cloud, deform, material); the inverse of
-    ``model_arrays``. Raises ``ValueError`` when the cloud arrays disagree on
-    the particle count."""
+    ``model_arrays``. The fields adopt their arrays, not copies. Raises
+    ``ValueError`` when the cloud arrays disagree on the particle count."""
     n = arrays["cloud.ids"].shape[0]
     for name in [f"cloud.{p}" for p in GaussianCloud.PARAMS] + ["cloud.dynamic"]:
         rows = arrays[name].shape[0]
@@ -456,7 +456,7 @@ def model_from_arrays(config: RunConfig, arrays: dict):
     material = MaterialField(config.init_particles, rng, config.material)
     for name, p in model_params(cloud, deform, material).items():
         if not name.startswith("cloud."):
-            p.data = np.array(arrays[name])
+            p.data = arrays[name]
     return cloud, deform, material
 
 

@@ -30,8 +30,8 @@ def check_unary(op, x, tol=1e-7, weight=None):
 
     with ad.Tape() as tape:
         xt = ad.parameter(x.copy())
-        out = ad.sum_(ad.mul(op(xt), ad.constant(w)))
-        (g,) = tape.grad(out, [xt])
+        tape.backward(ad.sum_(ad.mul(op(xt), ad.constant(w))))
+    g = xt.grad
 
     def scalar(v):
         with ad.Tape():
@@ -81,8 +81,8 @@ def test_binary_gradients_with_broadcasting(seed):
     for op in (ad.add, ad.sub, ad.mul, ad.div):
         with ad.Tape() as tape:
             at, bt = ad.parameter(a.copy()), ad.parameter(b.copy())
-            out = ad.sum_(ad.mul(op(at, bt), ad.constant(w)))
-            ga, gb = tape.grad(out, [at, bt])
+            tape.backward(ad.sum_(ad.mul(op(at, bt), ad.constant(w))))
+        ga, gb = at.grad, bt.grad
         assert gb.shape == b.shape  # unbroadcast folded the row axis
 
         def fa(v, op=op):
@@ -105,8 +105,8 @@ def test_matmul_gradients(shapes):
     w = rng.normal(size=np.matmul(a, b).shape)
     with ad.Tape() as tape:
         at, bt = ad.parameter(a.copy()), ad.parameter(b.copy())
-        out = ad.sum_(ad.mul(ad.matmul(at, bt), ad.constant(w)))
-        ga, gb = tape.grad(out, [at, bt])
+        tape.backward(ad.sum_(ad.mul(ad.matmul(at, bt), ad.constant(w))))
+    ga, gb = at.grad, bt.grad
 
     def fa(v):
         with ad.Tape():
@@ -142,7 +142,8 @@ def test_structural_op_gradients():
 
     with ad.Tape() as tape:
         at = ad.parameter(a.copy())
-        (ga,) = tape.grad(build(at), [at])
+        tape.backward(build(at))
+    ga = at.grad
 
     def f(v):
         with ad.Tape():
@@ -156,8 +157,8 @@ def test_take_rows_accumulates_duplicates():
     idx = np.array([1, 1, 3, 1])
     with ad.Tape() as tape:
         t = ad.parameter(table.copy())
-        out = ad.sum_(ad.take_rows(t, idx))
-        (g,) = tape.grad(out, [t])
+        tape.backward(ad.sum_(ad.take_rows(t, idx)))
+    g = t.grad
     expected = np.zeros_like(table)
     expected[1] = 3.0
     expected[3] = 1.0
@@ -170,19 +171,17 @@ def test_concatenate_and_stack_gradients():
     w = rng.normal(size=(6, 3))
     with ad.Tape() as tape:
         at, bt = ad.parameter(a.copy()), ad.parameter(b.copy())
-        out = ad.sum_(ad.mul(ad.concatenate([at, bt], axis=0), ad.constant(w)))
-        ga, gb = tape.grad(out, [at, bt])
-    assert np.allclose(ga, w[:2])
-    assert np.allclose(gb, w[2:])
+        tape.backward(ad.sum_(ad.mul(ad.concatenate([at, bt], axis=0), ad.constant(w))))
+    assert np.allclose(at.grad, w[:2])
+    assert np.allclose(bt.grad, w[2:])
 
     c, d = rng.normal(size=(5,)), rng.normal(size=(5,))
     ws = rng.normal(size=(5, 2))
     with ad.Tape() as tape:
         ct, dt = ad.parameter(c.copy()), ad.parameter(d.copy())
-        out = ad.sum_(ad.mul(ad.stack([ct, dt], axis=1), ad.constant(ws)))
-        gc, gd = tape.grad(out, [ct, dt])
-    assert np.allclose(gc, ws[:, 0])
-    assert np.allclose(gd, ws[:, 1])
+        tape.backward(ad.sum_(ad.mul(ad.stack([ct, dt], axis=1), ad.constant(ws))))
+    assert np.allclose(ct.grad, ws[:, 0])
+    assert np.allclose(dt.grad, ws[:, 1])
 
 
 def test_where_routes_gradient_by_mask():
@@ -190,10 +189,9 @@ def test_where_routes_gradient_by_mask():
     with ad.Tape() as tape:
         a = ad.parameter(np.array([1.0, 2.0, 3.0]))
         b = ad.parameter(np.array([10.0, 20.0, 30.0]))
-        out = ad.sum_(ad.mul(ad.where(mask, a, b), ad.constant(np.array([2.0, 5.0, 7.0]))))
-        ga, gb = tape.grad(out, [a, b])
-    assert np.array_equal(ga, [2.0, 0.0, 7.0])
-    assert np.array_equal(gb, [0.0, 5.0, 0.0])
+        tape.backward(ad.sum_(ad.mul(ad.where(mask, a, b), ad.constant(np.array([2.0, 5.0, 7.0])))))
+    assert np.array_equal(a.grad, [2.0, 0.0, 7.0])
+    assert np.array_equal(b.grad, [0.0, 5.0, 0.0])
 
 
 def test_mean_and_sum_axis_gradients():
@@ -201,10 +199,9 @@ def test_mean_and_sum_axis_gradients():
     a = rng.normal(size=(3, 4))
     with ad.Tape() as tape:
         at = ad.parameter(a.copy())
-        out = ad.sum_(ad.mul(ad.mean(at, axis=0), ad.constant(np.array([1.0, 2.0, 3.0, 4.0]))))
-        (g,) = tape.grad(out, [at])
+        tape.backward(ad.sum_(ad.mul(ad.mean(at, axis=0), ad.constant(np.array([1.0, 2.0, 3.0, 4.0])))))
     expected = np.tile(np.array([1.0, 2.0, 3.0, 4.0]) / 3.0, (3, 1))
-    assert np.allclose(g, expected)
+    assert np.allclose(at.grad, expected)
 
 
 def test_backward_seed_scales_gradient():
@@ -225,19 +222,6 @@ def test_parameter_gradients_accumulate_across_backward_calls():
         tape.backward(z)
         assert np.allclose(x.grad, 8.0)  # 6 + 2: leaves accumulate
         assert y.grad is None  # intermediates are cleared each sweep
-
-
-def test_grad_of_an_intermediate_input():
-    # the sweep releases intermediate gradients as it goes, but not the
-    # ones asked for
-    with ad.Tape() as tape:
-        x = ad.parameter(np.array([1.0, 2.0]))
-        y = ad.mul(x, x)
-        out = ad.sum_(ad.mul(y, 3.0))
-        gy, gx = tape.grad(out, [y, x])
-    assert np.array_equal(gy, [3.0, 3.0])
-    assert np.array_equal(gx, [6.0, 12.0])
-    assert y.grad is None
 
 
 def test_sweep_releases_each_gradient_after_its_vjp():
@@ -329,3 +313,82 @@ def test_getitem_gradient_matches_add_at_bit_for_bit(key):
     ref = np.zeros_like(a)
     np.add.at(ref, key, g)
     assert t.grad.tobytes() == ref.tobytes()
+
+
+# -- ops with several outputs: one tape node, one VJP ----------------------------
+
+
+def _pair(x, calls=None, op="pair"):
+    """A two-output op on the tape: (2x, x^2), whose VJP logs what it got."""
+
+    def vjp(grads):
+        if calls is not None:
+            calls.append(grads)
+        g_double, g_square = grads
+        if g_double is not None:
+            ad.accumulate_grad(x, 2.0 * g_double)
+        if g_square is not None:
+            ad.accumulate_grad(x, 2.0 * x.data * g_square)
+
+    return ad.record((2.0 * x.data, x.data * x.data), (x,), vjp, op)
+
+
+def test_multi_output_op_is_one_node_whose_vjp_runs_once():
+    calls = []
+    with ad.Tape() as tape:
+        x = ad.parameter(np.array([1.0, -2.0, 3.0]))
+        double, square = _pair(x, calls)
+        assert [n.op for n in tape.nodes] == ["pair"]
+        assert double.op == square.op == "pair" and double.requires_grad and square.requires_grad
+        tape.backward(ad.sum_(ad.add(ad.mul(double, 0.5), ad.mul(square, 3.0))))
+        assert len(calls) == 1
+        g_double, g_square = calls[0]
+        assert np.array_equal(g_double, [0.5, 0.5, 0.5]) and np.array_equal(g_square, [3.0, 3.0, 3.0])
+        assert np.array_equal(x.grad, 1.0 + 6.0 * x.data)
+        assert double.grad is None and square.grad is None  # every output released
+
+
+def test_multi_output_vjp_gets_none_for_an_unreached_output():
+    calls = []
+    with ad.Tape() as tape:
+        x = ad.parameter(np.array([1.0, -2.0]))
+        double, square = _pair(x, calls)
+        tape.backward(ad.sum_(square))
+        assert len(calls) == 1 and calls[0][0] is None
+        assert np.array_equal(calls[0][1], [1.0, 1.0]) and np.array_equal(x.grad, 2.0 * x.data)
+        assert double.grad is None and square.grad is None
+        # a sweep that reaches no output skips the VJP
+        tape.backward(ad.sum_(ad.mul(x, 1.0)))
+        assert len(calls) == 1
+
+
+def test_multi_output_nonfinite_value_names_the_op():
+    with np.errstate(all="ignore"), ad.Tape():
+        x = ad.parameter(np.array([1.0, 2.0]))
+        for bad in (0, 1):
+            outs = [x.data.copy(), x.data.copy()]
+            outs[bad][1] = np.nan
+            with pytest.raises(ad.NonFiniteError, match="'jet_op'"):
+                ad.record(tuple(outs), (x,), lambda grads: None, "jet_op")
+
+
+def test_multi_output_op_is_detached_without_a_graph():
+    with ad.Tape(keep_graph=False) as tape:
+        x = ad.parameter(np.array([1.0, 2.0]))
+        outs = _pair(x)
+    assert tape.nodes == [] and isinstance(outs, tuple) and len(outs) == 2
+    assert all(not t.requires_grad and t._vjp is None and t._parents == () for t in outs)
+
+
+def test_grad_rejects_an_intermediate_input():
+    # the sweep releases an intermediate's gradient once its VJP has run
+    with ad.Tape() as tape:
+        x = ad.parameter(np.array([1.0, 2.0]))
+        y = ad.mul(x, x)
+        jet = _pair(x)
+        out = ad.sum_(ad.add(ad.mul(y, 3.0), jet[0]))
+        for intermediate in (y, jet[1]):
+            with pytest.raises(ValueError, match="leaf"):
+                tape.grad(out, [x, intermediate])
+        assert np.array_equal(tape.grad(out, [x])[0], [8.0, 14.0])
+

@@ -145,6 +145,23 @@ def test_synth_reports_spec_value_errors(tmp_path, capsys, spec, error):
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("field, value, bounds", [
+    ("fov_deg", 0.0, "in (0, 180)"),
+    ("fov_deg", 180.0, "in (0, 180)"),
+    ("base_scale", 0.0, "> 0"),
+    ("opacity", 0.0, "in (0, 1]"),
+    ("opacity", 1.5, "in (0, 1]"),
+    ("coverage_threshold", -0.1, "in [0, 1)"),
+    ("coverage_threshold", 1.0, "in [0, 1)"),
+])
+def test_synth_rejects_out_of_range_camera_and_particle_settings(tmp_path, capsys, field, value, bounds):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({field: value}))
+    assert main(["synth", "--config", str(p), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == f"error: {field} must be {bounds}, not {value!r}\n"
+    assert not (tmp_path / "s").exists()
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

@@ -5,12 +5,18 @@ import pytest
 
 import pidg.autodiff as ad
 from pidg.encoding import (
+    _BU,
+    _BV,
+    _SU,
+    _SV,
     PRIMES,
     MultiResHashGrid3D,
     PlaneGrid2D,
     decomposed_entry_count,
     geometric_levels,
+    _add_corners,
     hash_vertices,
+    level_corners,
     monolithic_entry_count,
 )
 
@@ -325,3 +331,75 @@ def test_plane_matches_per_corner_oracle_bit_for_bit(output):
         assert got.data.tobytes() == ref.tobytes()
     for table, ref in zip(plane.tables, ref_tgrads):
         assert table.grad.tobytes() == ref.tobytes()
+
+
+def _plane_jet_oracle(plane, coords):
+    """The plane jet as three tape nodes over one saved state (value, d/du,
+    d/dv), each with its own VJP: the composition the one ``plane2d`` node
+    replaced."""
+    p = coords.data
+    n_pts = p.shape[0]
+    val, du, dv = np.zeros(n_pts), np.zeros(n_pts), np.zeros(n_pts)
+    saved = []
+    for l, (nu, nv) in enumerate(plane.level_res):
+        idx, (wu, wv) = level_corners(p, (nu, nv), plane.dense[l], plane.table_size)
+        entries = np.take(plane.tables[l].data, idx)
+        _add_corners(val, entries * wu[_BU] * wv[_BV])
+        _add_corners(du, entries * _SU * wv[_BV] * (nu - 1))
+        _add_corners(dv, entries * _SV * wu[_BU] * (nv - 1))
+        saved.append((idx, entries, wu, wv))
+
+    def vjp_val(g):
+        for l, (nu, nv) in enumerate(plane.level_res):
+            idx, entries, wu, wv = saved[l]
+            table = plane.tables[l]
+            ad.accumulate_grad(table, ad.scatter_add(idx, wu[_BU] * wv[_BV] * g, table.data.shape))
+            if coords.requires_grad:
+                gu = _add_corners(np.zeros(n_pts), entries * _SU * wv[_BV])
+                gv = _add_corners(np.zeros(n_pts), entries * _SV * wu[_BU])
+                ad.accumulate_grad(coords, np.stack([gu * (nu - 1) * g, gv * (nv - 1) * g], axis=1))
+
+    def make_partial_vjp(axis):
+        def vjp(g):
+            for l, (nu, nv) in enumerate(plane.level_res):
+                idx, entries, wu, wv = saved[l]
+                scale = (nu - 1) if axis == 0 else (nv - 1)
+                table = plane.tables[l]
+                coeff = _SU * wv[_BV] if axis == 0 else _SV * wu[_BU]
+                ad.accumulate_grad(table, ad.scatter_add(idx, coeff * scale * g, table.data.shape))
+                if coords.requires_grad:
+                    cross = _add_corners(np.zeros(n_pts), entries * _SU * _SV)
+                    cross *= (nu - 1) * (nv - 1) * g
+                    gc = np.zeros((n_pts, 2))
+                    gc[:, 1 - axis] = cross
+                    ad.accumulate_grad(coords, gc)
+
+        return vjp
+
+    parents = (coords, *plane.tables)
+    return (ad.record(val, parents, vjp_val, "plane2d"),
+            ad.record(du, parents, make_partial_vjp(0), "plane2d_du"),
+            ad.record(dv, parents, make_partial_vjp(1), "plane2d_dv"))
+
+
+@pytest.mark.parametrize("reached", [(0, 1, 2), (1,), (0, 2), (2,)])
+def test_plane_jet_node_matches_three_node_oracle_bit_for_bit(reached):
+    rng = np.random.default_rng(42)
+    plane = _spread_tables(PlaneGrid2D([(4, 4), (9, 9), (64, 64)], table_size=32, rng=rng), rng)
+    assert plane.dense == [True, False, False]
+    pts = rng.uniform(0.0, 1.0, (200, 2))
+    pts[:3] = [[0, 0], [1, 1], [0.5, 1]]
+    w = rng.normal(size=(3, 200)) * 10.0 ** rng.integers(-6, 7, size=(3, 200))
+    results = []
+    for jet in (lambda c: plane.interpolate(c, with_partials=True), lambda c: _plane_jet_oracle(plane, c)):
+        for t in plane.tables:
+            t.grad = None
+        with ad.Tape() as tape:
+            c = ad.parameter(pts.copy())
+            outs = jet(c)
+            loss = ad.sum_(ad.stack([ad.sum_(ad.mul(outs[k], ad.constant(w[k]))) for k in reached]))
+            tape.backward(loss)
+        results.append(([o.data for o in outs], [t.grad for t in plane.tables], c.grad))
+    (outs, tgrads, cgrad), (ref_outs, ref_tgrads, ref_cgrad) = results
+    for got, ref in zip(outs + tgrads + [cgrad], ref_outs + ref_tgrads + [ref_cgrad]):
+        assert got.tobytes() == ref.tobytes()

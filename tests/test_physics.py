@@ -138,6 +138,17 @@ def learned_field(seed=8, n_particles=12):
     return field
 
 
+def test_cmr_tape_records_one_jet_node_per_plane():
+    field = learned_field()
+    rng = np.random.default_rng(14)
+    with ad.Tape() as tape:
+        cmr_loss(field, sample_points(rng, n=10), rng.integers(0, 12, 10))
+    ops = [node.op for node in tape.nodes]
+    assert ops.count("plane2d") == 6
+    assert "plane2d_du" not in ops and "plane2d_dv" not in ops
+    assert len(ops) == 108
+
+
 def test_single_block_equals_unblocked_bitwise():
     field = learned_field()
     rng = np.random.default_rng(9)
