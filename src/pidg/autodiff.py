@@ -24,6 +24,7 @@ __all__ = [
     "constant",
     "parameter",
     "accumulate_grad",
+    "check_finite",
     "record",
     "scatter_add",
 ]
@@ -162,6 +163,8 @@ def _as_tensor(x) -> Tensor:
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum a broadcast gradient back down to the parent's shape."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -203,18 +206,29 @@ def record(out_data, parents, vjp, op: str):
         node = Tensor(out_data, requires_grad=needs, op=op)
         outs = (node,)
     if tape is not None:
-        for out in outs:
-            if not np.all(np.isfinite(out.data)):
-                raise NonFiniteError(
-                    f"non-finite value in op '{op}' (node {len(tape.nodes)}; "
-                    f"parents: {[p.op for p in parents]})"
-                )
+        check_finite(op, [out.data for out in outs], parents)
         if needs:
             for out in outs:
                 out._parents = parents
             node._vjp = vjp
             tape.nodes.append(node)
     return node if isinstance(node, Tensor) else outs
+
+
+def check_finite(op: str, arrays, parents=()) -> None:
+    """Raise ``NonFiniteError`` naming ``op`` if a tape is active and any of
+    ``arrays`` holds a NaN or Inf. A fused op also passes the intermediates
+    that the composition it replaced recorded, because a ReLU or a mask can
+    hide a non-finite intermediate from the outputs."""
+    tape = active_tape()
+    if tape is None:
+        return
+    for x in arrays:
+        if not np.isfinite(x).all():
+            raise NonFiniteError(
+                f"non-finite value in op '{op}' (node {len(tape.nodes)}; "
+                f"parents: {[p.op for p in parents]})"
+            )
 
 
 # -- elementwise ---------------------------------------------------------------

@@ -20,9 +20,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoding import MultiResHashGrid3D, geometric_levels
+from .encoding import MultiResHashGrid3D, geometric_levels, hashgrid3d
 from .nn import Linear
 from .scene import normalize_quaternions, rotation_matrices
+
+# the query columns (x, y, z, t) = (0, 1, 2, 3) each grid reads, in grid order
+GRID_AXES = {"g_xyz": (0, 1, 2), "g_xyt": (0, 1, 3), "g_yzt": (1, 2, 3), "g_xzt": (0, 2, 3)}
 
 
 @dataclass
@@ -80,20 +83,9 @@ class DeformationField:
 
     def encode4d(self, p: Tensor):
         """Features of normalized (N,4) points: one spatial and three temporal
-        blocks. Points outside [0,1]^4 are rejected."""
-        data = p.data
-        if data.ndim != 2 or data.shape[1] != 4:
-            raise ValueError("expected (N, 4) normalized coordinates")
-        if data.size and (data.min() < 0.0 or data.max() > 1.0):
-            raise ValueError("coordinate outside [0,1]^4")
-        xyz = p[:, (0, 1, 2)]
-        xyt = p[:, (0, 1, 3)]
-        yzt = p[:, (1, 2, 3)]
-        xzt = p[:, (0, 2, 3)]
-        f_xyz = self.grid_xyz.interpolate(xyz)
-        f_xyt = self.grid_xyt.interpolate(xyt)
-        f_yzt = self.grid_yzt.interpolate(yzt)
-        f_xzt = self.grid_xzt.interpolate(xzt)
+        blocks, from one ``hashgrid3d`` node. Points outside [0,1]^4 are
+        rejected."""
+        f_xyz, f_xyt, f_yzt, f_xzt = hashgrid3d(p, list(self.grids.values()), list(GRID_AXES.values()))
         return f_xyz, (f_xyt, f_yzt, f_xzt)
 
     def attention(self, f_xyz: Tensor, temporal_feats) -> Tensor:

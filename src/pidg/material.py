@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-from .encoding import PlaneGrid2D, geometric_levels
+from .autodiff import accumulate_grad, check_finite, record, scatter_add
+from .encoding import PlaneGrid2D, geometric_levels, plane2d
 from .jets import JetVec
 from .nn import Linear
 
@@ -112,24 +112,15 @@ class MaterialField:
             raise ValueError("query point outside the normalized [0,1]^4 domain")
         return p
 
-    def _features(self, p: np.ndarray, ids: np.ndarray, plane_vals) -> Tensor:
-        """Feature rows (N, feature_dim) from the six planes' values at the
-        detached points ``p``, the Fourier time encoding and the id embedding."""
-        return ad.concatenate([ad.stack(plane_vals, axis=1),
-                               ad.constant(fourier_time_features(p[:, 3], self.config.fourier_n)),
-                               ad.take_rows(self.embedding, np.asarray(ids, dtype=np.int64))], axis=1)
-
-    @staticmethod
-    def _split(out: Tensor):
-        """Head output (N, 9) -> (velocity (N, 3), stress (N, 6))."""
-        return ad.getitem(out, (slice(None), slice(0, 3))), ad.getitem(out, (slice(None), slice(3, 9)))
+    def _plane_jets(self, p: np.ndarray, with_partials: bool):
+        """Each plane's jet at the detached points ``p``: one ``plane2d`` node."""
+        return plane2d(ad.constant(p), [self.planes[name] for name, _, _ in PLANE_AXES],
+                       [(i, j) for _, i, j in PLANE_AXES], with_partials)
 
     def evaluate(self, points: np.ndarray, ids: np.ndarray):
         """(velocity (N,3), stress (N,6)) at detached query points."""
         p = self._check_points(points)
-        vals = [self.planes[name].interpolate(ad.constant(p[:, (i, j)])) for name, i, j in PLANE_AXES]
-        h = ad.relu(self.hidden(self._features(p, ids, vals)))
-        return self._split(self.head(h))
+        return self._decode(p, ids, self._plane_jets(p, with_partials=False))
 
     def evaluate_with_jets(self, points: np.ndarray, ids: np.ndarray):
         """Velocity and stress jets at detached query points.
@@ -141,31 +132,108 @@ class MaterialField:
         reaches all field parameters.
         """
         p = self._check_points(points)
-        n_pts = p.shape[0]
+        outs = self._decode(p, ids, self._plane_jets(p, with_partials=True))
+        return JetVec(*outs[0::2]), JetVec(*outs[1::2])
+
+    def _decode(self, p: np.ndarray, ids: np.ndarray, jets) -> tuple:
+        """The features, the hidden layer, its ReLU and the head, from the
+        planes' jets to (velocity, stress) and, when the jets carry partials,
+        their d/dx, d/dy, d/dz, d/dt after them: one ``material_head`` node.
+
+        The features are [plane values | Fourier time | id embedding]. Each
+        coordinate tangent of the hidden layer is the planes' partials along
+        that axis (and, along t, the Fourier tangent) times the matching rows
+        of the hidden weight; the ReLU's mask then gates it into the head. The
+        backward replays the gradient order of the tape composition this node
+        replaced (kept in the tests as its oracle), so its bytes match.
+        """
         cfg = self.config
+        n_pts = p.shape[0]
+        ids = np.asarray(ids, dtype=np.int64)
+        w1, b1, w2, b2 = self.hidden.weight, self.hidden.bias, self.head.weight, self.head.bias
+        four = slice(6, 6 + 2 * cfg.fourier_n)  # the Fourier rows of the features and of w1
+        feats = np.concatenate([np.stack([jet[0].data for jet in jets], axis=1),
+                                fourier_time_features(p[:, 3], cfg.fourier_n),
+                                self.embedding.data[ids]], axis=1)
+        h = feats @ w1.data + b1.data
+        mask = h > 0.0
+        h_act = np.where(mask, h, 0.0)
+        heads = [h_act @ w2.data + b2.data]
+        intermediates = [feats, h]
+        with_partials = len(jets[0]) == 3
+        if with_partials:
+            # tangent a of plane k: d/du if a is its u axis, d/dv if its v axis, else 0
+            zero = np.zeros(n_pts)
+            hash_tan = [np.stack([jet[1].data if a == i else jet[2].data if a == j else zero
+                                  for jet, (_, i, j) in zip(jets, PLANE_AXES)], axis=1) for a in range(4)]
+            four_dt = fourier_time_tangent(p[:, 3], cfg.fourier_n)
+            w_hash, w_four = w1.data[:6], w1.data[four]
+            h_tan = [t @ w_hash for t in hash_tan]
+            h_tan[3] = h_tan[3] + four_dt @ w_four
+            m_tan = [ht * mask for ht in h_tan]
+            heads += [m @ w2.data for m in m_tan]
+            intermediates += [w1.data[:four.stop], *h_tan]
+        check_finite("material_head", intermediates)
 
-        vals, tangents = [], {0: [], 1: [], 2: [], 3: []}
-        for name, i, j in PLANE_AXES:
-            val, d_i, d_j = self.planes[name].interpolate(ad.constant(p[:, (i, j)]), with_partials=True)
-            vals.append(val)
-            zero = ad.constant(np.zeros(n_pts))
-            for axis in range(4):
-                tangents[axis].append(d_i if axis == i else d_j if axis == j else zero)
-        feats = self._features(p, ids, vals)
-        hash_tan = {a: ad.stack(tangents[a], axis=1) for a in range(4)}
-        four_dt = ad.constant(fourier_time_tangent(p[:, 3], cfg.fourier_n))
-        w_hash = ad.getitem(self.hidden.weight, slice(0, 6))  # hash rows of W1
-        w_four = ad.getitem(self.hidden.weight, slice(6, 6 + 2 * cfg.fourier_n))
+        def vjp(grads):
+            # the replaced nodes' sweep order: the tangent heads (last axis
+            # first), the value head, the tangent matmuls, the hidden layer,
+            # the picks of w1's Fourier and hash rows, the partials, the features
+            def head_grad(k):  # the (N, 9) gradient of head k from its velocity and stress columns
+                gv, gs = grads[2 * k], grads[2 * k + 1]
+                if gv is None and gs is None:
+                    return None
+                g = np.zeros((n_pts, 9))
+                if gs is not None:
+                    g[:, 3:] += gs
+                if gv is not None:
+                    g[:, :3] += gv
+                return g
 
-        h = self.hidden(feats)
-        h_tan = {a: ad.matmul(hash_tan[a], w_hash) for a in range(4)}
-        h_tan[3] = ad.add(h_tan[3], ad.matmul(four_dt, w_four))
+            g_tan = [None] * 4
+            if with_partials:
+                for a in reversed(range(4)):
+                    g = head_grad(1 + a)
+                    if g is not None:
+                        g_m = g @ w2.data.T
+                        accumulate_grad(w2, m_tan[a].T @ g)
+                        g_tan[a] = g_m * mask
+            g_out = head_grad(0)
+            g_h = None
+            if g_out is not None:
+                accumulate_grad(b2, g_out)
+                g_act = g_out @ w2.data.T
+                accumulate_grad(w2, h_act.T @ g_out)
+                g_h = g_act * mask
+            g_four = g_hash = None
+            g_tan_rows = [None] * 4
+            if g_tan[3] is not None:
+                g_four = four_dt.T @ g_tan[3]
+            for a in reversed(range(4)):
+                if g_tan[a] is not None:
+                    g_tan_rows[a] = g_tan[a] @ w_hash.T
+                    part = hash_tan[a].T @ g_tan[a]
+                    g_hash = part if g_hash is None else g_hash + part
+            g_feats = None
+            if g_h is not None:
+                accumulate_grad(b1, g_h)
+                g_feats = g_h @ w1.data.T
+                accumulate_grad(w1, feats.T @ g_h)
+            for rows, g in ((four, g_four), (slice(0, 6), g_hash)):
+                if g is not None:
+                    buf = np.zeros_like(w1.data)
+                    buf[rows] += g
+                    accumulate_grad(w1, buf)
+            for a in reversed(range(4)):
+                if g_tan_rows[a] is not None:
+                    for k, (jet, (_, i, j)) in enumerate(zip(jets, PLANE_AXES)):
+                        if a in (i, j):
+                            accumulate_grad(jet[1 if a == i else 2], g_tan_rows[a][:, k])
+            if g_feats is not None:
+                accumulate_grad(self.embedding, scatter_add(ids, g_feats[:, four.stop:], self.embedding.data.shape))
+                for k, jet in enumerate(jets):
+                    accumulate_grad(jet[0], g_feats[:, k])
 
-        act_mask = (h.data > 0.0).astype(np.float64)
-        h_act = ad.relu(h)
-        out = self.head(h_act)
-        out_tan = {a: ad.matmul(ad.mul(h_tan[a], act_mask), self.head.weight) for a in range(4)}
-
-        v_val, s_val = self._split(out)
-        v_tan, s_tan = zip(*(self._split(out_tan[a]) for a in range(4)))
-        return JetVec(v_val, *v_tan), JetVec(s_val, *s_tan)
+        outs = tuple(part for out in heads for part in (out[:, :3], out[:, 3:]))
+        parents = (*(t for jet in jets for t in jet), self.embedding, w1, b1, w2, b2)
+        return record(outs, parents, vjp, "material_head")

@@ -44,6 +44,30 @@ def _finite_or_abort(value: float, term: str, iteration: int) -> float:
     return float(value)
 
 
+INIT_BLOCK = 256  # rows of the (rows, n) seed-distance block that setup holds at once
+
+
+def initial_scales(mu: np.ndarray, scene_scale: float) -> np.ndarray:
+    """Each seed's initial scale: its mean distance to its min(3, n - 1)
+    nearest other seeds (0.02 scene scales for a lone seed), clipped to
+    [1e-4, 0.05] scene scales. The distances are computed in blocks of
+    ``INIT_BLOCK`` rows, so memory grows linearly with n; each row's
+    arithmetic is that of the full (n, n) distance matrix, so the bytes are
+    the same."""
+    n = mu.shape[0]
+    if n == 1:
+        nn = np.full(1, 0.02 * scene_scale)
+    else:
+        k = min(3, n - 1)
+        nn = np.empty(n)
+        for lo in range(0, n, INIT_BLOCK):
+            rows = np.arange(lo, min(lo + INIT_BLOCK, n))
+            d2 = np.sum((mu[rows, None, :] - mu[None, :, :]) ** 2, axis=2)
+            d2[rows - lo, rows] = np.inf
+            nn[rows] = np.sqrt(np.sort(d2, axis=1)[:, :k]).mean(axis=1)
+    return np.clip(nn, 1e-4 * scene_scale, 0.05 * scene_scale)
+
+
 class Trainer:
     def __init__(self, config: RunConfig, data: SceneData, state: tuple | None = None):
         self.config = config.require_valid()
@@ -99,12 +123,7 @@ class Trainer:
         colors = np.concatenate(cols)
         sel = self.rng.choice(len(pool), n, replace=len(pool) < n)
         mu = pool[sel] + self.rng.normal(0.0, 0.005 * self.normalizer.scale, (n, 3))
-        # per-particle scale from the mean distance to the 3 nearest seeds
-        d2 = np.sum((mu[:, None, :] - mu[None, :, :]) ** 2, axis=2)
-        np.fill_diagonal(d2, np.inf)
-        k = min(3, n - 1) if n > 1 else 1
-        nn = np.sqrt(np.sort(d2, axis=1)[:, :k]).mean(axis=1) if n > 1 else np.full(1, 0.02 * self.normalizer.scale)
-        s = np.clip(nn, 1e-4 * self.normalizer.scale, 0.05 * self.normalizer.scale)
+        s = initial_scales(mu, self.normalizer.scale)
         sh = np.zeros((n, 4, 3))
         sh[:, 0, :] = (colors[sel] - 0.5) / SH_C0
         quat = np.zeros((n, 4))

@@ -7,20 +7,48 @@ import pidg.autodiff as ad
 from pidg.encoding import (
     _BU,
     _BV,
+    _CORNER,
     _SU,
     _SV,
     PRIMES,
     MultiResHashGrid3D,
     PlaneGrid2D,
+    _add_corners,
+    _Cells,
     decomposed_entry_count,
     geometric_levels,
-    _add_corners,
-    hash_vertices,
     level_corners,
     monolithic_entry_count,
 )
 
 _M32 = (1 << 32) - 1
+
+
+def hash_vertices(ix, iy, iz, table_size: int) -> np.ndarray:
+    """32-bit XOR hash of whole corner arrays of integer vertices, mod
+    table_size: the per-corner hashing ``level_corners`` replaced."""
+    ix, iy, iz = (np.asarray(c, dtype=np.int64) for c in (ix, iy, iz))
+    h = ((ix * PRIMES[0]) & _M32) ^ ((iy * PRIMES[1]) & _M32) ^ ((iz * PRIMES[2]) & _M32)
+    return (h & _M32) % table_size
+
+
+def _level_corners_oracle(p, res, dense, table_size):
+    """One grid's level cells from its own (N, D) points, every corner's
+    vertices built and hashed whole: the routine before cells were shared."""
+    corners, weights = [], []
+    for a, n in enumerate(res):
+        scaled = p[:, a] * (n - 1)
+        c0 = np.floor(scaled).astype(np.int64)
+        np.clip(c0, 0, n - 2, out=c0)
+        frac = scaled - c0
+        corners.append(c0 + ((_CORNER[:2 ** len(res)] >> a) & 1)[:, None])
+        weights.append(np.stack([1.0 - frac, frac]))
+    if not dense:
+        return hash_vertices(*corners, *[0] * (3 - len(res)), table_size), weights
+    idx = corners[-1]
+    for c, n in zip(corners[-2::-1], res[-2::-1]):
+        idx = c + n * idx
+    return idx, weights
 
 
 def _spread_tables(grid, rng):
@@ -30,27 +58,52 @@ def _spread_tables(grid, rng):
     return grid
 
 
+def _corner_vertices(p, res):
+    """Each (point, corner)'s integer vertex, per axis, by scalar arithmetic."""
+    out = []
+    for q in p:
+        cells = [min(max(int(np.floor(x * (n - 1))), 0), n - 2) for x, n in zip(q, res)]
+        out.append([[c + ((corner >> a) & 1) for a, c in enumerate(cells)] for corner in range(2 ** len(res))])
+    return out
+
+
 def test_hash_matches_independent_reference():
-    # scalar re-implementation of the xor'd-primes scheme, mod table size
+    # scalar re-implementation of the xor'd-primes scheme, mod table size, on
+    # the rows a hashed level of level_corners gives each cell corner
     rng = np.random.default_rng(0)
-    pts = rng.integers(0, 5000, size=(200, 3))
-    for table in (64, 4096, 2**15):
-        got = hash_vertices(pts[:, 0], pts[:, 1], pts[:, 2], table)
-        for (x, y, z), h in zip(pts, got):
-            ref = (((int(x) * PRIMES[0]) & _M32)
-                   ^ ((int(y) * PRIMES[1]) & _M32)
-                   ^ ((int(z) * PRIMES[2]) & _M32)) % table
-            assert h == ref
+    pts = rng.uniform(0.0, 1.0, (60, 3))
+    for table, res in ((64, (97, 33, 5000)), (4096, (5000, 4000, 3000)), (2**15, (200, 300, 400))):
+        rows, _ = level_corners(_Cells(pts), (0, 1, 2), res, False, table)
+        for i, verts in enumerate(_corner_vertices(pts, res)):
+            for c, (x, y, z) in enumerate(verts):
+                ref = (((x * PRIMES[0]) & _M32) ^ ((y * PRIMES[1]) & _M32) ^ ((z * PRIMES[2]) & _M32)) % table
+                assert rows[c, i] == ref
 
 
 def test_hash_2d_matches_reference():
     # a plane vertex (u, v) hashes as the 3D vertex (u, v, 0)
     rng = np.random.default_rng(1)
-    pts = rng.integers(0, 5000, size=(100, 2))
-    got = hash_vertices(pts[:, 0], pts[:, 1], 0, 1024)
-    for (u, v), h in zip(pts, got):
-        ref = (((int(u) * PRIMES[0]) & _M32) ^ ((int(v) * PRIMES[1]) & _M32)) % 1024
-        assert h == ref
+    pts = rng.uniform(0.0, 1.0, (50, 2))
+    rows, _ = level_corners(_Cells(pts), (0, 1), (5000, 700), False, 1024)
+    for i, verts in enumerate(_corner_vertices(pts, (5000, 700))):
+        for c, (u, v) in enumerate(verts):
+            assert rows[c, i] == (((u * PRIMES[0]) & _M32) ^ ((v * PRIMES[1]) & _M32)) % 1024
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_shared_cells_match_per_grid_level_corners(dense):
+    # cells shared across grids, read through any query columns, give each
+    # grid the rows and weights its own points would
+    rng = np.random.default_rng(2)
+    p = rng.uniform(0.0, 1.0, (200, 4))
+    p[:3] = [[0, 0, 0, 0], [1, 1, 1, 1], [0.5, 1, 0, 0.25]]
+    cells = _Cells(p)
+    for axes, res in (((0, 1, 2), (9, 9, 9)), ((0, 1, 3), (9, 9, 3)), ((2, 3), (7, 5)), ((1, 2, 3), (40, 40, 4))):
+        rows, weights = level_corners(cells, axes, res, dense, 64)
+        ref_rows, ref_weights = _level_corners_oracle(p[:, axes], res, dense, 64)
+        assert rows.tobytes() == ref_rows.tobytes()
+        for w, ref in zip(weights, ref_weights):
+            assert w.tobytes() == ref.tobytes()
 
 
 def test_geometric_levels_endpoints_and_monotone():
@@ -342,7 +395,7 @@ def _plane_jet_oracle(plane, coords):
     val, du, dv = np.zeros(n_pts), np.zeros(n_pts), np.zeros(n_pts)
     saved = []
     for l, (nu, nv) in enumerate(plane.level_res):
-        idx, (wu, wv) = level_corners(p, (nu, nv), plane.dense[l], plane.table_size)
+        idx, (wu, wv) = _level_corners_oracle(p, (nu, nv), plane.dense[l], plane.table_size)
         entries = np.take(plane.tables[l].data, idx)
         _add_corners(val, entries * wu[_BU] * wv[_BV])
         _add_corners(du, entries * _SU * wv[_BV] * (nu - 1))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import pidg.autodiff as ad
+from pidg.jets import JetVec
 from pidg.material import (
+    PLANE_AXES,
     MaterialConfig,
     MaterialField,
     fourier_time_features,
@@ -154,3 +156,102 @@ def test_entry_counts_cover_all_planes():
     field = MaterialField(4, np.random.default_rng(9), tiny_config())
     assert set(field.planes) == {"xz", "xy", "yz", "xt", "yt", "zt"}
     assert all(p.entry_count() == 4 * 4 + 8 * 8 for p in field.planes.values())  # dense 4^2 + 8^2
+
+
+# -- the tape composition the ``material_head`` node replaced, kept as its oracle --
+
+def material_oracle(field, points, ids, with_partials):
+    """``evaluate`` (or, ``with_partials``, ``evaluate_with_jets``) as the tape
+    composition it was: one single-plane node per plane, then the features,
+    the hidden layer, the ReLU and the head as separate nodes, the tangents
+    through the hash and Fourier rows of the hidden weight, and ``getitem``
+    splits of every head output."""
+    p = np.asarray(points, dtype=np.float64)
+    n_pts = p.shape[0]
+    cfg = field.config
+    vals, tangents = [], {0: [], 1: [], 2: [], 3: []}
+    for name, i, j in PLANE_AXES:
+        jet = field.planes[name].interpolate(ad.constant(p[:, (i, j)]), with_partials=with_partials)
+        if not with_partials:
+            vals.append(jet)
+            continue
+        val, d_i, d_j = jet
+        vals.append(val)
+        zero = ad.constant(np.zeros(n_pts))
+        for axis in range(4):
+            tangents[axis].append(d_i if axis == i else d_j if axis == j else zero)
+    feats = ad.concatenate([ad.stack(vals, axis=1),
+                            ad.constant(fourier_time_features(p[:, 3], cfg.fourier_n)),
+                            ad.take_rows(field.embedding, np.asarray(ids, dtype=np.int64))], axis=1)
+
+    def split(out):
+        return ad.getitem(out, (slice(None), slice(0, 3))), ad.getitem(out, (slice(None), slice(3, 9)))
+
+    if not with_partials:
+        return split(field.head(ad.relu(field.hidden(feats))))
+    hash_tan = {a: ad.stack(tangents[a], axis=1) for a in range(4)}
+    four_dt = ad.constant(fourier_time_tangent(p[:, 3], cfg.fourier_n))
+    w_hash = ad.getitem(field.hidden.weight, slice(0, 6))
+    w_four = ad.getitem(field.hidden.weight, slice(6, 6 + 2 * cfg.fourier_n))
+    h = field.hidden(feats)
+    h_tan = {a: ad.matmul(hash_tan[a], w_hash) for a in range(4)}
+    h_tan[3] = ad.add(h_tan[3], ad.matmul(four_dt, w_four))
+    act_mask = (h.data > 0.0).astype(np.float64)
+    out = field.head(ad.relu(h))
+    out_tan = {a: ad.matmul(ad.mul(h_tan[a], act_mask), field.head.weight) for a in range(4)}
+    v_val, s_val = split(out)
+    v_tan, s_tan = zip(*(split(out_tan[a]) for a in range(4)))
+    return JetVec(v_val, *v_tan), JetVec(s_val, *s_tan)
+
+
+def _slots(outs):
+    return [t for jet in outs for t in ((jet.val, *jet.partials()) if isinstance(jet, JetVec) else (jet,))]
+
+
+@pytest.mark.parametrize("reached", ["all", "values", "no_velocity_value", "velocity"])
+@pytest.mark.parametrize("with_partials", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 40])
+def test_head_node_matches_tape_oracle_bit_for_bit(n, with_partials, reached):
+    rng = np.random.default_rng(20 + n)
+    cfg = MaterialConfig(plane_levels=2, plane_base=4, plane_max=12, table_size=64,
+                         fourier_n=2, embed_dim=4, hidden_width=16)
+    field = MaterialField(12, rng, cfg)
+    for _, t in field.params:
+        t.data = t.data + rng.normal(scale=0.5, size=t.data.shape)
+    pts = rng.uniform(0.0, 1.0, (n, 4))
+    ids = rng.integers(0, 12, n)
+    # gradients already held from earlier tapes, as in training
+    held = [None if k % 3 == 0 else rng.normal(size=t.data.shape) for k, (_, t) in enumerate(field.params)]
+    results, ws = [], None
+    for fn in ((lambda: field.evaluate_with_jets(pts, ids)) if with_partials else (lambda: field.evaluate(pts, ids)),
+               lambda: material_oracle(field, pts, ids, with_partials)):
+        for (_, t), g in zip(field.params, held):
+            t.grad = None if g is None else g.copy()
+        with ad.Tape() as tape:
+            slots = _slots(fn())
+            picked = {"all": slots, "values": [slots[0], slots[len(slots) // 2]],
+                      "no_velocity_value": slots[1:], "velocity": slots[:len(slots) // 2]}[reached]
+            if ws is None:
+                ws = [rng.normal(size=t.shape) for t in picked]
+                for w in ws:
+                    w.reshape(-1)[::4] = -0.0
+            tape.backward(ad.sum_(ad.stack([ad.sum_(ad.mul(t, ad.constant(w))) for t, w in zip(picked, ws)])))
+        results.append(([t.data.tobytes() for t in slots],
+                        [None if t.grad is None else t.grad.tobytes() for _, t in field.params]))
+    assert results[0] == results[1]
+
+
+def test_head_node_checks_what_the_relu_hides():
+    # a NaN embedding row makes the hidden layer NaN, which the ReLU zeroes:
+    # only the check of that intermediate can report it
+    field = perturbed_field(seed=30)
+    pts = np.random.default_rng(31).uniform(0.1, 0.9, (3, 4))
+    field.embedding.data[1] = np.nan
+    for fn in (field.evaluate, field.evaluate_with_jets):
+        with ad.Tape(), pytest.raises(ad.NonFiniteError, match="material_head"):
+            fn(pts, np.array([0, 1, 2]))
+    # a NaN hash row of the hidden weight, with no point to carry it
+    field = perturbed_field(seed=32)
+    field.hidden.weight.data[2, 5] = np.nan
+    with ad.Tape(), pytest.raises(ad.NonFiniteError, match="material_head"):
+        field.evaluate_with_jets(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import pidg.autodiff as ad
+from pidg import physics
 from pidg.jets import JetVec
 from pidg.material import MaterialConfig, MaterialField
+from test_material import material_oracle
+
 from pidg.physics import (
     AnalyticJetField,
     block_sampled_cmr,
@@ -138,15 +141,14 @@ def learned_field(seed=8, n_particles=12):
     return field
 
 
-def test_cmr_tape_records_one_jet_node_per_plane():
+def test_cmr_tape_records_a_handful_of_nodes():
     field = learned_field()
     rng = np.random.default_rng(14)
     with ad.Tape() as tape:
         cmr_loss(field, sample_points(rng, n=10), rng.integers(0, 12, 10))
     ops = [node.op for node in tape.nodes]
-    assert ops.count("plane2d") == 6
-    assert "plane2d_du" not in ops and "plane2d_dv" not in ops
-    assert len(ops) == 108
+    assert ops == ["plane2d", "material_head", "momentum_residual", "mean_sq_norm"]
+    assert len(ops) < 15
 
 
 def test_single_block_equals_unblocked_bitwise():
@@ -235,3 +237,122 @@ def test_subsample_requires_rng():
     pts = sample_points(np.random.default_rng(17), n=8)
     with pytest.raises(ValueError):
         block_sampled_cmr(field, pts, np.arange(8), 1024, sample_count=4)
+
+
+# -- the tape compositions the residual and loss nodes replaced, kept as oracles --
+
+_SIGMA_COLS = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+
+
+def _col(t, j):
+    return ad.getitem(t, (slice(None), j))
+
+
+def residual_oracle(vel, sigma, rho, include_advection):
+    """The residual as per-column ``getitem`` picks, products and sums."""
+    spatial = vel.partials()[:3]
+    rows = []
+    for j in range(3):
+        acc = _col(vel.dt, j)
+        if include_advection:
+            for i in range(3):
+                acc = ad.add(acc, ad.mul(_col(vel.val, i), _col(spatial[i], j)))
+        div = None
+        for i in range(3):
+            term = _col(sigma.partials()[i], _SIGMA_COLS[i][j])
+            div = term if div is None else ad.add(div, term)
+        rows.append(ad.sub(ad.mul(acc, rho), div))
+    return ad.stack(rows, axis=1)
+
+
+def cmr_loss_oracle(field, points, ids, include_advection=True):
+    """``cmr_loss`` as the composition of the tape oracles of its nodes."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.shape[0] == 0:
+        return ad.constant(0.0)
+    vel, sigma = material_oracle(field, points, ids, with_partials=True)
+    r = residual_oracle(vel, sigma, rho=field.rho, include_advection=include_advection)
+    return ad.mean(ad.sum_(ad.mul(r, r), axis=1))
+
+
+def _held_grads(field, rng):
+    """Gradients already held from earlier tapes, as in training."""
+    for k, (_, t) in enumerate(field.params):
+        t.grad = None if k % 3 == 0 else rng.normal(size=t.data.shape)
+    return [None if t.grad is None else t.grad.copy() for _, t in field.params]
+
+
+def _grad_bytes(field):
+    return [None if t.grad is None else t.grad.tobytes() for _, t in field.params]
+
+
+@pytest.mark.parametrize("include_advection", [True, False])
+@pytest.mark.parametrize("n", [1, 37])
+def test_residual_node_matches_tape_oracle_bit_for_bit(n, include_advection):
+    field = learned_field(seed=20)
+    rng = np.random.default_rng(21)
+    pts, ids = sample_points(rng, n=n), rng.integers(0, 12, n)
+    held = _held_grads(field, rng)
+    w = rng.normal(size=(n, 3))
+    w[::3] = -0.0
+    results = []
+    for residual in (momentum_residual, residual_oracle):
+        for (_, t), g in zip(field.params, held):
+            t.grad = None if g is None else g.copy()
+        with ad.Tape() as tape:
+            vel, sig = field.evaluate_with_jets(pts, ids)
+            r = residual(vel, sig, rho=1.3, include_advection=include_advection)
+            tape.backward(ad.sum_(ad.mul(r, ad.constant(w))))
+        results.append((r.data.tobytes(), _grad_bytes(field)))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("include_advection", [True, False])
+def test_residual_node_hands_each_slot_the_oracle_gradient(include_advection):
+    # leaf jets, so each slot's own gradient shows, signed zeros included
+    rng = np.random.default_rng(26)
+    n = 25
+    data = [rng.normal(size=(n, 3)) for _ in range(5)] + [rng.normal(size=(n, 6)) for _ in range(5)]
+    w = rng.normal(size=(n, 3))
+    w[::3], w[1::3] = -0.0, 0.0
+    results = []
+    for residual in (momentum_residual, residual_oracle):
+        slots = [ad.parameter(d) for d in data]
+        with ad.Tape() as tape:
+            r = residual(JetVec(*slots[:5]), JetVec(*slots[5:]), rho=0.8, include_advection=include_advection)
+            tape.backward(ad.sum_(ad.mul(r, ad.constant(w))))
+        results.append((r.data.tobytes(), [None if t.grad is None else t.grad.tobytes() for t in slots]))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("include_advection", [True, False])
+def test_residual_node_matches_tape_oracle_on_closed_form_jets(include_advection):
+    pts = sample_points(np.random.default_rng(22), n=30)
+    for field in (shear_flow_field(0.6, 0.5), hydrostatic_field(2.0),
+                  elastic_wave_field(0.05, 2 * np.pi, 1.0, 0.5), uniform_advection_field((0.3, -0.2, 0.1))):
+        with ad.Tape() as tape:
+            vel, sig = field.evaluate_with_jets(pts)
+            got = momentum_residual(vel, sig, rho=field.rho, include_advection=include_advection)
+            ref = residual_oracle(vel, sig, rho=field.rho, include_advection=include_advection)
+        assert got.data.tobytes() == ref.data.tobytes()
+        assert tape.nodes == []
+
+
+@pytest.mark.parametrize("include_advection", [True, False])
+def test_cmr_loss_matches_tape_oracle_in_both_block_modes(include_advection, monkeypatch):
+    rng = np.random.default_rng(23)
+    pts, ids = sample_points(rng, n=45), rng.integers(0, 12, 45)
+    runs = {}
+    for name, loss in (("fused", cmr_loss), ("oracle", cmr_loss_oracle)):
+        monkeypatch.setattr(physics, "cmr_loss", loss)
+        field = learned_field(seed=24)
+        _held_grads(field, np.random.default_rng(25))
+        with ad.Tape() as tape:  # one tape over all blocks
+            total = block_sampled_cmr(field, pts, ids, block_size=16, include_advection=include_advection)
+            tape.backward(total, seed=0.7)
+        taped = (total.data.tobytes(), _grad_bytes(field))
+        _held_grads(field, np.random.default_rng(25))
+        value = block_sampled_cmr(field, pts, ids, block_size=16, include_advection=include_advection,
+                                  backward_scale=0.7)  # a tape per block
+        runs[name] = (taped, repr(value), _grad_bytes(field))
+    assert runs["fused"] == runs["oracle"]

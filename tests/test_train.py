@@ -12,7 +12,7 @@ from pidg.material import MaterialConfig
 from pidg.flow import frame_pair_flows, lpfm_loss
 from pidg.render import RenderSettings, project, render
 from pidg.synth import SceneSpec, generate, scene_data
-from pidg.train import METRICS_HEADER, Trainer, TrainingAborted, load_model, model_params
+from pidg.train import METRICS_HEADER, Trainer, TrainingAborted, initial_scales, load_model, model_params
 
 
 def tiny_config(**overrides) -> RunConfig:
@@ -522,3 +522,21 @@ def test_densify_interval_grows_or_prunes_cloud():
     assert len(tr.cloud.ids) != n0
     assert len(tr.cloud.ids) <= cfg.max_particles
     assert len(tr.opt.slots["cloud.mu"]["m"]) == len(tr.cloud.ids)
+
+
+def _initial_scales_oracle(mu, scene_scale):
+    """The full (n, n, 3) difference formula ``initial_scales`` computes in blocks."""
+    n = mu.shape[0]
+    d2 = np.sum((mu[:, None, :] - mu[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(d2, np.inf)
+    k = min(3, n - 1) if n > 1 else 1
+    nn = np.sqrt(np.sort(d2, axis=1)[:, :k]).mean(axis=1) if n > 1 else np.full(1, 0.02 * scene_scale)
+    return np.clip(nn, 1e-4 * scene_scale, 0.05 * scene_scale)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 600])
+def test_initial_scales_in_blocks_match_the_full_matrix(n):
+    rng = np.random.default_rng(n)
+    mu = rng.normal(0.0, 0.2, (n, 3))
+    mu[n // 2:n // 2 + 2] = mu[0]  # coincident seeds, so some distances are 0
+    assert initial_scales(mu, 1.7).tobytes() == _initial_scales_oracle(mu, 1.7).tobytes()
