@@ -39,6 +39,16 @@ def _unreadable(path, exc: OSError) -> str:
     return f"cannot read config file {path}: {exc.strerror or exc}"
 
 
+def _read_scene(scene_dir):
+    """(the scene, []), or (None, [the error line]) for a scene that cannot be read."""
+    try:
+        return load_scene(scene_dir), []
+    except OSError as exc:
+        return None, [f"cannot read scene file {exc.filename or scene_dir}: {exc.strerror or exc}"]
+    except ValueError as exc:
+        return None, [str(exc)]
+
+
 def cmd_synth(args) -> int:
     try:
         if args.config:
@@ -83,7 +93,9 @@ def cmd_train(args) -> int:
         errors.append("no scene directory (config scene_dir or --scene)")
     if errors:
         return _report(errors)
-    data = load_scene(config.scene_dir)
+    data, errors = _read_scene(config.scene_dir)
+    if errors:
+        return _report(errors)
     if args.resume:
         # the run continues with the checkpoint's config; only the paths come from here
         trainer = Trainer.from_checkpoint(args.resume, data)
@@ -149,7 +161,9 @@ def _load_pose(path, like: Camera | None) -> Camera:
 
 def cmd_render(args) -> int:
     config, iteration, cloud, deform, material, normalizer = load_model(args.checkpoint)
-    data = load_scene(args.scene) if args.scene else None
+    data, errors = _read_scene(args.scene) if args.scene else (None, [])
+    if errors:
+        return _report(errors)
     frame = args.camera if args.camera is not None else 0
     if data is not None and not 0 <= frame < data.frames:
         return _report([f"camera index {frame} outside scene ({data.frames} frames)"])
@@ -218,7 +232,9 @@ def _draw_quiver(image: np.ndarray, means2d: np.ndarray, vel2d: np.ndarray, dt: 
 
 
 def cmd_eval(args) -> int:
-    data = load_scene(args.scene)
+    data, errors = _read_scene(args.scene)
+    if errors:
+        return _report(errors)
     trainer = Trainer.from_checkpoint(args.checkpoint, data)
     metrics = trainer.evaluate()
     metrics["mean_residual"] = trainer.mean_residual(samples=10**6)

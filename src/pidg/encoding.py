@@ -124,7 +124,7 @@ def _query_points(coords: Tensor, axes) -> np.ndarray:
     p = coords.data
     if p.ndim != 2 or p.shape[1] != dim:
         raise ValueError(f"expected (N, {dim}) query coordinates")
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):  # a NaN fails both
         raise ValueError(f"query coordinate outside [0,1]^{dim}")
     return p
 

@@ -23,10 +23,10 @@ through the projection Jacobian. The eigenbasis is held constant (detached);
 eigenvalues, means and velocities stay differentiable.
 
 Each prediction is one tape node over the 2D means and covariances of both
-frames (and, for velocity flow, vbar), with a hand-written VJP that
-recomputes the per-contributor transform rather than holding it; its
-forward and gradients equal, bit for bit, the same chain written as
-elementwise tape ops (the oracle in ``tests/test_flow.py``).
+frames (and, for velocity flow, vbar), with a hand-written VJP. A frame
+pair's per-contributor transform is built once and shared by both nodes
+and their VJPs; their forward and gradients equal, bit for bit, the same
+chain written as elementwise tape ops (the oracle in ``tests/test_flow.py``).
 """
 
 from __future__ import annotations
@@ -211,15 +211,14 @@ def _position_lookup(visible_rows: np.ndarray, n_rows: int) -> np.ndarray:
 
 class _Transport:
     """Per-contributor transport from a frame-t render to frame t+1's
-    projection (or render), in plain numpy: the covered pixels, each
-    contributor's visible row at t (``it``) and at t+1 (``it1``), the kept
-    contributors' renormalised weights and the detached frame-t eigenbasis.
-
-    A flow node keeps only these arrays and its parents; the eigenvalues,
-    the scale transform and the pixel offsets are recomputed from the
-    parents' data in the forward and again in the VJP, by the same
-    expressions. The VJPs only read it, so ``frame_pair_flows`` builds one
-    for both flow predictions.
+    projection (or render), in plain numpy, built once per frame pair: the
+    covered pixels, each contributor's visible row at t (``it``) and at t+1
+    (``it1``), the kept contributors' renormalised weights, the detached
+    frame-t axes, the same-axes eigenvalues with their clip guards and
+    roots, the scale transform A = U Lambda_{t+1}^(1/2) Lambda_t^(-1/2) U^T
+    as (a00, a01, a11), the offsets (dx, dy) = p1 - mu_t and the pixel
+    centres p1. Both flow nodes and their VJPs only read these arrays, so
+    ``frame_pair_flows`` builds one for both flow predictions.
     """
 
     def __init__(self, out_t, out_t1):
@@ -241,12 +240,17 @@ class _Transport:
         self.it = np.where(keep, it, 0).reshape(-1)
         self.it1 = np.where(keep, it1, 0).reshape(-1)
 
-        # frame-t eigenbasis (detached); contributors with a near-singular
-        # same-axes eigenvalue at either time are dropped
-        cov_t = out_t.cov2d.data
-        self.u = eig2x2(cov_t[:, 0], cov_t[:, 1], cov_t[:, 2])[1]
+        # each contributor's frame-t eigenvectors (detached) and its same-axes
+        # eigenvalues (lam1_t, lam2_t, lam1_t1, lam2_t1); contributors with a
+        # near-singular one at either time are dropped
+        cov_t, cov_t1 = out_t.cov2d.data, out_t1.cov2d.data
+        u = eig2x2(cov_t[:, 0], cov_t[:, 1], cov_t[:, 2])[1][self.it]
+        self.u1 = (v1x, v1y) = (u[:, 0, 0], u[:, 1, 0])
+        self.u2 = (v2x, v2y) = (u[:, 0, 1], u[:, 1, 1])
+        self.lam = (_quad(cov_t, self.it, v1x, v1y), _quad(cov_t, self.it, v2x, v2y),
+                    _quad(cov_t1, self.it1, v1x, v1y), _quad(cov_t1, self.it1, v2x, v2y))
         sing = np.zeros(len(self.it), dtype=bool)
-        for lam in self._eigenvalues(cov_t, out_t1.cov2d.data, *self._axes()):
+        for lam in self.lam:
             sing |= lam < SINGULAR_EIG
         keep &= ~sing.reshape(keep.shape)
 
@@ -255,47 +259,25 @@ class _Transport:
         self.ok = tot > 0.0
         self.wn = wn / np.where(self.ok, tot, 1.0)[:, None]
 
-    def _axes(self):
-        """Each contributor's frame-t eigenvectors ((v1x, v1y), (v2x, v2y))."""
-        u = self.u[self.it]
-        return (u[:, 0, 0], u[:, 1, 0]), (u[:, 0, 1], u[:, 1, 1])
+        self.guard = guard = [np.clip(x, SINGULAR_EIG, np.inf) for x in self.lam]  # dropped rows: keep math finite
+        self.root1 = (guard[2] ** 0.5, guard[0] ** -0.5)
+        self.root2 = (guard[3] ** 0.5, guard[1] ** -0.5)
+        s1 = self.root1[0] * self.root1[1]
+        s2 = self.root2[0] * self.root2[1]
+        self.a = (s1 * (v1x * v1x) + s2 * (v2x * v2x),
+                  s1 * (v1x * v1y) + s2 * (v2x * v2y),
+                  s1 * (v1y * v1y) + s2 * (v2y * v2y))
+        mu = out_t.means2d.data[self.it]
+        self.p1x = np.repeat(self.pu.astype(np.float64), k)
+        self.p1y = np.repeat(self.pv.astype(np.float64), k)
+        self.dx, self.dy = self.p1x - mu[:, 0], self.p1y - mu[:, 1]
 
-    def _eigenvalues(self, cov_t, cov_t1, u1, u2):
-        """Same-axes eigenvalues (lam1_t, lam2_t, lam1_t1, lam2_t1) per contributor."""
-        return (_quad(cov_t, self.it, *u1), _quad(cov_t, self.it, *u2),
-                _quad(cov_t1, self.it1, *u1), _quad(cov_t1, self.it1, *u2))
-
-    def _pixels(self):
-        """Each contributor's pixel centre (p1x, p1y)."""
-        k = self.wn.shape[1]
-        return (np.repeat(self.pu.astype(np.float64), k), np.repeat(self.pv.astype(np.float64), k))
-
-    def _geometry(self, cov_t, cov_t1, means_t):
-        """The scale transform A = U Lambda_{t+1}^(1/2) Lambda_t^(-1/2) U^T as
-        (a00, a01, a11), the offset (dx, dy) = p1 - mu_t, and the
-        intermediates the VJP reads, per contributor."""
-        u1, u2 = axes = self._axes()
-        lam = self._eigenvalues(cov_t, cov_t1, u1, u2)
-        guard = [np.clip(x, SINGULAR_EIG, np.inf) for x in lam]  # dropped rows: keep math finite
-        root1 = (guard[2] ** 0.5, guard[0] ** -0.5)
-        root2 = (guard[3] ** 0.5, guard[1] ** -0.5)
-        s1 = root1[0] * root1[1]
-        s2 = root2[0] * root2[1]
-        (v1x, v1y), (v2x, v2y) = u1, u2
-        a = (s1 * (v1x * v1x) + s2 * (v2x * v2x),
-             s1 * (v1x * v1y) + s2 * (v2x * v2y),
-             s1 * (v1y * v1y) + s2 * (v2y * v2y))
-        mu = means_t[self.it]
-        p1x, p1y = self._pixels()
-        return lam, guard, root1, root2, axes, a, (p1x - mu[:, 0], p1y - mu[:, 1])
-
-    def flow(self, cov_t, cov_t1, means_t, end_x, end_y) -> np.ndarray:
+    def flow(self, end_x, end_y) -> np.ndarray:
         """(P, 2) weighted flow (p_hat - p1), with endpoint offsets end_* per contributor."""
-        (a00, a01, a11), (dx, dy) = self._geometry(cov_t, cov_t1, means_t)[-2:]
-        p1x, p1y = self._pixels()
+        a00, a01, a11 = self.a
         n_pix, k = self.wn.shape
-        fx = (a00 * dx + a01 * dy + end_x - p1x).reshape(n_pix, k)
-        fy = (a01 * dx + a11 * dy + end_y - p1y).reshape(n_pix, k)
+        fx = (a00 * self.dx + a01 * self.dy + end_x - self.p1x).reshape(n_pix, k)
+        fy = (a01 * self.dx + a11 * self.dy + end_y - self.p1y).reshape(n_pix, k)
         return np.stack([(fx * self.wn).sum(axis=1), (fy * self.wn).sum(axis=1)], axis=1)
 
     def endpoint_grads(self, g):
@@ -308,18 +290,18 @@ class _Transport:
         ``cov_t``, each in the order and the rounding of the unfused tape.
         ``end_on_mean``: the endpoint is offset from mu_t, so (gx, gy) reach
         the frame-t means as well."""
-        lam, guard, root1, root2, (u1, u2), (a00, a01, a11), (dx, dy) = self._geometry(
-            cov_t.data, cov_t1.data, means_t.data)
+        lam, guard, root1, root2 = self.lam, self.guard, self.root1, self.root2
+        a00, a01, a11 = self.a
         g_dx = gy * a01 + gx * a00
         g_dy = gy * a11 + gx * a01
         mu_x, mu_y = (gx + -g_dx, gy + -g_dy) if end_on_mean else (-g_dx, -g_dy)
         ad.accumulate_grad(means_t, ad.scatter_add(self.it, np.stack([mu_x, mu_y], axis=1),
                                                    means_t.data.shape))
 
-        g_a00 = gx * dx
-        g_a01 = gy * dx + gx * dy
-        g_a11 = gy * dy
-        (v1x, v1y), (v2x, v2y) = u1, u2
+        g_a00 = gx * self.dx
+        g_a01 = gy * self.dx + gx * self.dy
+        g_a11 = gy * self.dy
+        (v1x, v1y), (v2x, v2y) = self.u1, self.u2
         g_s1 = g_a11 * (v1y * v1y) + g_a01 * (v1x * v1y) + g_a00 * (v1x * v1x)
         g_s2 = g_a11 * (v2y * v2y) + g_a01 * (v2x * v2y) + g_a00 * (v2x * v2x)
         # s = lam_t1^(1/2) * lam_t^(-1/2), each factor through the guard's clip
@@ -327,10 +309,10 @@ class _Transport:
         g_lam2_t = g_s2 * root2[0] * -0.5 * guard[1] ** -1.5 * _inside(lam[1])
         g_lam1_t1 = g_s1 * root1[1] * 0.5 * guard[2] ** -0.5 * _inside(lam[2])
         g_lam2_t1 = g_s2 * root2[1] * 0.5 * guard[3] ** -0.5 * _inside(lam[3])
-        _quad_vjp(cov_t1, self.it1, *u2, g_lam2_t1)
-        _quad_vjp(cov_t1, self.it1, *u1, g_lam1_t1)
-        _quad_vjp(cov_t, self.it, *u2, g_lam2_t)
-        _quad_vjp(cov_t, self.it, *u1, g_lam1_t)
+        _quad_vjp(cov_t1, self.it1, *self.u2, g_lam2_t1)
+        _quad_vjp(cov_t1, self.it1, *self.u1, g_lam1_t1)
+        _quad_vjp(cov_t, self.it, *self.u2, g_lam2_t)
+        _quad_vjp(cov_t, self.it, *self.u1, g_lam1_t)
 
     def sparse(self, vec: Tensor) -> SparseFlow:
         return SparseFlow(self.shape, self.pv, self.pu, vec, self.ok)
@@ -366,7 +348,7 @@ def gaussian_flow(out_t, out_t1, *, _transport=None) -> SparseFlow:
                                                     means_t1.data.shape))
         tr.backward(gx, gy, cov_t, cov_t1, means_t, end_on_mean=False)
 
-    vec = tr.flow(cov_t.data, cov_t1.data, means_t.data, end[:, 0], end[:, 1])
+    vec = tr.flow(end[:, 0], end[:, 1])
     return tr.sparse(ad.record(vec, (cov_t, cov_t1, means_t, means_t1), vjp, "gaussian_flow"))
 
 
@@ -411,8 +393,7 @@ def velocity_flow(out_t, out_t1, v_world: Tensor, dt: float, *, _transport=None)
                                                 vbar.data.shape))
         tr.backward(gx, gy, cov_t, cov_t1, means_t, end_on_mean=True)
 
-    vec = tr.flow(cov_t.data, cov_t1.data, means_t.data,
-                  mu[:, 0] + vb[:, 0] * dt, mu[:, 1] + vb[:, 1] * dt)
+    vec = tr.flow(mu[:, 0] + vb[:, 0] * dt, mu[:, 1] + vb[:, 1] * dt)
     return tr.sparse(ad.record(vec, (cov_t, cov_t1, means_t, vbar), vjp, "velocity_flow"))
 
 

@@ -247,10 +247,9 @@ class SceneNormalizer:
     def unit_np(self, p: np.ndarray) -> np.ndarray:
         return np.clip((np.asarray(p) - self.center) / self.scale + 0.5, 0.0, 1.0)
 
-    def unit4_np(self, p: np.ndarray, t) -> np.ndarray:
+    def unit4_np(self, p: np.ndarray, t: float) -> np.ndarray:
         p = np.atleast_2d(p)
-        tcol = np.full((p.shape[0], 1), np.clip(t, 0.0, 1.0)) if np.isscalar(t) else np.clip(np.asarray(t), 0.0, 1.0).reshape(-1, 1)
-        return np.concatenate([self.unit_np(p), tcol], axis=1)
+        return np.concatenate([self.unit_np(p), np.full((p.shape[0], 1), np.clip(t, 0.0, 1.0))], axis=1)
 
     def to_dict(self) -> dict:
         return {"center": self.center.tolist(), "scale": self.scale}

@@ -415,10 +415,21 @@ def scene_data(scene: SyntheticScene) -> SceneData:
 
 
 def load_scene(scene_dir) -> SceneData:
+    """The scene ``write_scene`` wrote to ``scene_dir``; a malformed
+    scene.json raises a ValueError naming the file and the bad entry."""
     d = Path(scene_dir)
-    with open(d / "scene.json") as fh:
-        manifest = json.load(fh)
-    frames = manifest["frames"]
+    path = d / "scene.json"
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    for key in ("frames", "times", "bounds"):
+        if not isinstance(manifest, dict) or key not in manifest:
+            raise ValueError(f"{path} has no '{key}' entry")
+    frames, times = manifest["frames"], manifest["times"]
+    if type(frames) is not int or not isinstance(times, list) or len(times) != frames:
+        raise ValueError(f"{path}: 'times' must list one time for each of 'frames' ({frames!r})")
     images = np.stack([pio.read_ppm(d / f"frame_{f:04d}.ppm") for f in range(frames)])
     depths = np.stack([pio.read_depth(d / f"depth_{f:04d}.dep") for f in range(frames)])
     masks = np.stack([pio.read_pgm(d / f"mask_{f:04d}.pgm") > 0 for f in range(frames)])
@@ -427,5 +438,5 @@ def load_scene(scene_dir) -> SceneData:
     cameras = pio.read_cameras(d / "cameras.json")
     bounds = (np.asarray(manifest["bounds"]["center"]), float(manifest["bounds"]["scale"]))
     spec = SceneSpec.from_dict(manifest["spec"]) if "spec" in manifest else None
-    return SceneData(images, depths, flows_b, flows_fwd, masks, cameras, times=manifest["times"],
+    return SceneData(images, depths, flows_b, flows_fwd, masks, cameras, times=times,
                      bounds=bounds, spec=spec)

@@ -51,9 +51,9 @@ def initial_scales(mu: np.ndarray, scene_scale: float) -> np.ndarray:
     """Each seed's initial scale: its mean distance to its min(3, n - 1)
     nearest other seeds (0.02 scene scales for a lone seed), clipped to
     [1e-4, 0.05] scene scales. The distances are computed in blocks of
-    ``INIT_BLOCK`` rows, so memory grows linearly with n; each row's
-    arithmetic is that of the full (n, n) distance matrix, so the bytes are
-    the same."""
+    ``INIT_BLOCK`` rows, so memory grows linearly with n, and only each
+    row's k smallest are sorted; the bytes are those of the full (n, n)
+    distance matrix sorted row by row."""
     n = mu.shape[0]
     if n == 1:
         nn = np.full(1, 0.02 * scene_scale)
@@ -64,7 +64,7 @@ def initial_scales(mu: np.ndarray, scene_scale: float) -> np.ndarray:
             rows = np.arange(lo, min(lo + INIT_BLOCK, n))
             d2 = np.sum((mu[rows, None, :] - mu[None, :, :]) ** 2, axis=2)
             d2[rows - lo, rows] = np.inf
-            nn[rows] = np.sqrt(np.sort(d2, axis=1)[:, :k]).mean(axis=1)
+            nn[rows] = np.sqrt(np.sort(np.partition(d2, k - 1, axis=1)[:, :k], axis=1)).mean(axis=1)
     return np.clip(nn, 1e-4 * scene_scale, 0.05 * scene_scale)
 
 

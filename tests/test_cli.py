@@ -193,6 +193,32 @@ def test_train_requires_scene(tmp_path, capsys):
     assert "scene" in capsys.readouterr().err
 
 
+def _scene_args(command, workspace, scene, tmp_path):
+    if command == "train":
+        return ["train", "--config", str(workspace["config"]), "--scene", str(scene),
+                "--out", str(tmp_path / "o")]
+    if command == "eval":
+        return ["eval", str(workspace["ckpt"]), "--scene", str(scene)]
+    return ["render", str(workspace["ckpt"]), "--scene", str(scene), "--out", str(tmp_path / "o")]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "render"])
+def test_unreadable_scene_is_one_error_line(workspace, tmp_path, capsys, command):
+    scene = tmp_path / "scene"
+    shutil.copytree(workspace["scene"], scene)
+    manifest = scene / "scene.json"
+    manifest.write_text(manifest.read_text()[:40])
+    assert main(_scene_args(command, workspace, scene, tmp_path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {manifest} is not valid JSON")
+
+    missing = tmp_path / "nowhere"
+    assert main(_scene_args(command, workspace, missing, tmp_path)) == 2
+    assert capsys.readouterr().err == (f"error: cannot read scene file {missing / 'scene.json'}: "
+                                       "No such file or directory\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_render_color_and_depth(workspace, tmp_path):
     out = tmp_path / "r"
     assert main(["render", str(workspace["ckpt"]), "--scene", str(workspace["scene"]),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pidg.autodiff as ad
+import pidg.flow as flow_module
 from pidg.camera import Camera, camera_from_fov
 from pidg.config import RunConfig
 from pidg.deform import DeformConfig
@@ -607,13 +608,18 @@ def test_fused_flow_nan_covariance_aborts():
             velocity_flow(out_t, out_t1, v_world, 0.25)
 
 
-def test_stage2_step_records_one_node_per_flow_prediction(monkeypatch):
+def _trainer_before_stage2() -> Trainer:
     cfg = RunConfig(iterations=4, stage_switch=0.25, init_particles=20, max_particles=40, top_k=4,
                     cmr_samples=8, cmr_block=8)
     data = scene_data(generate(SceneSpec(variant="rigid", frames=3, width=24, height=24,
                                          num_particles=12, seed=5)))
     tr = Trainer(cfg, data)
     tr.step()
+    return tr
+
+
+def test_stage2_step_records_one_node_per_flow_prediction(monkeypatch):
+    tr = _trainer_before_stage2()
     ops = []
     backward = ad.Tape.backward
 
@@ -624,3 +630,19 @@ def test_stage2_step_records_one_node_per_flow_prediction(monkeypatch):
     monkeypatch.setattr(ad.Tape, "backward", counting_backward)
     assert tr.stage() == 2 and tr.step()["loss_lpfm"] > 0.0
     assert ops.count("gaussian_flow") == 1 and ops.count("velocity_flow") == 1
+
+
+def test_stage2_step_builds_the_frame_pair_transport_once(monkeypatch):
+    # the four same-axes eigenvalues of each contributor are evaluated once
+    # per frame pair, not again by each flow's forward and VJP
+    tr = _trainer_before_stage2()
+    calls = []
+    quad = flow_module._quad
+
+    def counting_quad(*args):
+        calls.append(1)
+        return quad(*args)
+
+    monkeypatch.setattr(flow_module, "_quad", counting_quad)
+    assert tr.stage() == 2 and tr.step()["loss_lpfm"] > 0.0
+    assert len(calls) == 4

@@ -190,12 +190,17 @@ def test_nan_in_a_table_names_the_encoder_op():
             fn(rng.uniform(0.0, 1.0, (6, 4)), np.arange(4).repeat(2)[:6])
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
-def test_nan_query_column_names_the_encoder_op():
-    # the range check cannot see a NaN (every comparison with it is false);
-    # the features it reaches can
-    field = DeformationField(_hashed_deform_config(), np.random.default_rng(6))
+def test_nan_query_column_is_rejected():
+    # the range check fails on a NaN as on a coordinate outside [0,1]
+    rng = np.random.default_rng(6)
+    deform = DeformationField(_hashed_deform_config(), rng)
+    material = MaterialField(3, rng, MaterialConfig())
     pts = np.full((3, 4), 0.5)
     pts[1, 3] = np.nan
-    with ad.Tape(), pytest.raises(ad.NonFiniteError, match="hashgrid3d"):
-        field.encode4d(ad.constant(pts))
+    with ad.Tape() as tape:
+        with pytest.raises(ValueError, match="outside"):
+            deform.encode4d(ad.constant(pts))
+        for fn in (material.evaluate, material.evaluate_with_jets):
+            with pytest.raises(ValueError, match="outside"):
+                fn(pts, np.arange(3))
+    assert not tape.nodes

@@ -1,5 +1,7 @@
 """Synthetic scenes: motion models, generated assets, self-consistency."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -263,3 +265,36 @@ def test_minimal_two_frame_scene(tmp_path):
     assert sum(n.startswith("flow_b_") for n in names) == 1
     data = load_scene(out)
     assert data.frames == 2
+
+
+def _drop(key):
+    def edit(m):
+        del m[key]
+    return edit
+
+
+@pytest.mark.parametrize("edit, entry", [
+    (_drop("frames"), "'frames'"),
+    (_drop("times"), "'times'"),
+    (_drop("bounds"), "'bounds'"),
+    (lambda m: m["times"].pop(), "'times'"),
+    (lambda m: m.update(frames="2"), "'frames'"),
+])
+def test_load_scene_names_a_bad_manifest_entry(tmp_path, edit, entry):
+    out = write_scene(generate(small_spec(frames=2)), tmp_path / "scene")
+    path = out / "scene.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=entry) as info:
+        load_scene(out)
+    assert str(path) in str(info.value)
+
+
+def test_load_scene_names_a_truncated_manifest(tmp_path):
+    out = write_scene(generate(small_spec(frames=2)), tmp_path / "scene")
+    path = out / "scene.json"
+    path.write_text(path.read_text()[:40])
+    with pytest.raises(ValueError, match="not valid JSON") as info:
+        load_scene(out)
+    assert str(path) in str(info.value)

@@ -534,7 +534,7 @@ def _initial_scales_oracle(mu, scene_scale):
     return np.clip(nn, 1e-4 * scene_scale, 0.05 * scene_scale)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 600])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 255, 256, 257, 600])
 def test_initial_scales_in_blocks_match_the_full_matrix(n):
     rng = np.random.default_rng(n)
     mu = rng.normal(0.0, 0.2, (n, 3))
