@@ -21,6 +21,7 @@ DECAY_FACTOR, DECAY_PERIOD = 0.1, 0.4  # ``exp_decay``: one decade per 40% of th
 class Adam:
     def __init__(self):
         self.slots: dict[str, dict] = {}
+        self._buffers = (np.empty(0), np.empty(0))
 
     def register(self, name: str, param: Tensor) -> None:
         if name in self.slots:
@@ -43,6 +44,11 @@ class Adam:
         both their value and their optimizer state. A parameter with no
         gradient this step still advances its step count (a zero-gradient
         step), matching the hand-update contract.
+
+        The update runs in place: each ufunc writes into ``m``, ``v``, the
+        parameter or one of two scratch arrays, and its ``where`` skips the
+        frozen rows. Every expression is the textbook one in its usual
+        order, so the bytes equal those of the out-of-place formulas.
         """
         freeze_rows = freeze_rows or {}
         for name, lr in rates.items():
@@ -52,13 +58,32 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            live = ~freeze_rows[name] if name in freeze_rows else slice(None)
+            live = True
+            if name in freeze_rows:
+                live = ~freeze_rows[name].reshape((-1,) + (1,) * (g.ndim - 1))
             m, v, t = slot["m"], slot["v"], slot["t"]
-            m[live] = BETA1 * m[live] + (1.0 - BETA1) * g[live]
-            v[live] = BETA2 * v[live] + (1.0 - BETA2) * g[live] ** 2
-            mhat = m[live] / (1.0 - BETA1**t)
-            vhat = v[live] / (1.0 - BETA2**t)
-            p.data[live] -= lr * mhat / (np.sqrt(vhat) + EPS)
+            a, b = self._scratch(g.shape)
+            np.multiply(m, BETA1, out=m, where=live)
+            np.multiply(g, 1.0 - BETA1, out=a, where=live)
+            np.add(m, a, out=m, where=live)  # m = BETA1 m + (1 - BETA1) g
+            np.multiply(v, BETA2, out=v, where=live)
+            np.square(g, out=a, where=live)
+            np.multiply(a, 1.0 - BETA2, out=a, where=live)
+            np.add(v, a, out=v, where=live)  # v = BETA2 v + (1 - BETA2) g^2
+            np.divide(m, 1.0 - BETA1**t, out=a, where=live)  # mhat
+            np.multiply(a, lr, out=a, where=live)
+            np.divide(v, 1.0 - BETA2**t, out=b, where=live)  # vhat
+            np.sqrt(b, out=b, where=live)
+            np.add(b, EPS, out=b, where=live)
+            np.divide(a, b, out=a, where=live)
+            np.subtract(p.data, a, out=p.data, where=live)  # p -= lr mhat / (sqrt(vhat) + EPS)
+
+    def _scratch(self, shape) -> tuple[np.ndarray, np.ndarray]:
+        """Two scratch arrays of ``shape``, views of buffers kept across steps."""
+        size = int(np.prod(shape))
+        if self._buffers[0].size < size:
+            self._buffers = (np.empty(size), np.empty(size))
+        return tuple(buf[:size].reshape(shape) for buf in self._buffers)
 
     def remap_rows(self, name: str, kept_rows: np.ndarray, n_appended: int) -> None:
         """Reorder state after a row edit: kept rows first, fresh rows zeroed."""

@@ -11,10 +11,11 @@ Compositing per pixel is C = sum_i c_i a_i T_i with T_i = prod_{j<i} (1-a_j),
 contributors sorted by ascending camera depth (ties broken by particle id),
 each contributor truncated to the chi^2 <= support ellipse (3 sigma by
 default) and skipped below the 1/255 alpha floor. The image composites over
-black, and the depth output is the alpha expected depth. The rasterizer is
-one fused node on the tape with a hand-written backward pass; everything
-upstream is ordinary tape ops, so gradients reach positions, shapes, colors,
-opacities and the deformation field.
+black, and the depth output is the alpha expected depth. The rasterizer, the
+EWA projection (``project_gaussians``) and the colours and opacities
+(``appearance``) are one fused tape node each with a hand-written backward
+pass, so gradients reach positions, shapes, colors, opacities and the
+deformation field.
 
 Per tile, the rasterizer keeps and differentiates only the live (pixel,
 splat) pairs, those inside the support ellipse and at or above the alpha
@@ -36,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, accumulate_grad, record
+from .autodiff import Tensor, accumulate_grad, check_finite, record
 from .camera import Camera
 from .scene import SH_C0, SH_C1, GaussianCloud, _rotmats_np, covariance
 
@@ -110,49 +111,180 @@ class RenderOutput:
         return self.raw.data[:, :, 3]
 
 
-def sh_colors(sh: Tensor, dirs: Tensor) -> Tensor:
-    """Degree-1 spherical harmonics -> RGB in [0,1] for per-particle view dirs."""
-    c = (
-        0.5
-        + SH_C0 * sh[:, 0, :]
-        - SH_C1 * ad.mul(dirs[:, 1:2], sh[:, 1, :])
-        + SH_C1 * ad.mul(dirs[:, 2:3], sh[:, 2, :])
-        - SH_C1 * ad.mul(dirs[:, 0:1], sh[:, 3, :])
-    )
-    return ad.clip(c, 0.0, 1.0)
-
-
 def project_gaussians(pc: Tensor, cov3d: Tensor, camera: Camera):
     """Camera-space means (N,3) and world covariances -> 2D means, 2D covariance
-    components (a, b, c) with the 0.3 px dilation, conic components, and depth."""
-    x, y, z = pc[:, 0], pc[:, 1], pc[:, 2]
-    inv_z = ad.pow_const(z, -1.0)
-    u = camera.fx * ad.mul(x, inv_z) + camera.cx
-    v = camera.fy * ad.mul(y, inv_z) + camera.cy
-    means2d = ad.stack([u, v], axis=1)
+    components (a, b, c) with the 0.3 px dilation, conic components, and depth.
 
-    rot = ad.constant(camera.rot)
-    rot_t = ad.constant(camera.rot.T)
-    vc = ad.matmul(ad.matmul(rot, cov3d), rot_t)  # (N,3,3) in camera axes
-    j00 = camera.fx * inv_z
-    j02 = -camera.fx * ad.mul(x, ad.mul(inv_z, inv_z))
-    j11 = camera.fy * inv_z
-    j12 = -camera.fy * ad.mul(y, ad.mul(inv_z, inv_z))
+    One tape node with four outputs (the EWA projection of 3DGS). With the
+    perspective Jacobian J = [[j00, 0, j02], [0, j11, j12]] and the camera-axes
+    covariance V = R cov3d R^T, (a, b, c) are the entries of J V J^T. The
+    forward groups every product as the 68-node tape composition it replaced
+    did, and the VJP sums each gradient in that composition's sweep order
+    (kept as the oracle in ``tests/test_fused_geometry.py``), so both are
+    bit-equal to it. The determinant is checked as well as the outputs,
+    because an overflowing one still gives a finite conic."""
+    fx, fy = camera.fx, camera.fy
+    rot, rot_t = camera.rot, camera.rot.T
+    p = pc.data
+    x, y, z = p[:, 0], p[:, 1], p[:, 2]
+    inv_z = z**-1.0
+    means2d = np.stack([(x * inv_z) * fx + camera.cx, (y * inv_z) * fy + camera.cy], axis=1)
+    vc = (rot @ cov3d.data) @ rot_t  # (N,3,3) in camera axes
+    ii = inv_z * inv_z
+    j00, j02 = inv_z * fx, (x * ii) * -fx
+    j11, j12 = inv_z * fy, (y * ii) * -fy
     v00, v01, v02 = vc[:, 0, 0], vc[:, 0, 1], vc[:, 0, 2]
     v11, v12, v22 = vc[:, 1, 1], vc[:, 1, 2], vc[:, 2, 2]
-    a = ad.mul(j00, ad.mul(j00, v00)) + 2.0 * ad.mul(j00, ad.mul(j02, v02)) + ad.mul(j02, ad.mul(j02, v22)) + 0.3
-    b = (
-        ad.mul(j00, ad.mul(j11, v01))
-        + ad.mul(j00, ad.mul(j12, v02))
-        + ad.mul(j11, ad.mul(j02, v12))
-        + ad.mul(j02, ad.mul(j12, v22))
-    )
-    c = ad.mul(j11, ad.mul(j11, v11)) + 2.0 * ad.mul(j11, ad.mul(j12, v12)) + ad.mul(j12, ad.mul(j12, v22)) + 0.3
-    det = ad.sub(ad.mul(a, c), ad.mul(b, b))
-    inv_det = ad.pow_const(det, -1.0)
-    conic = ad.stack([ad.mul(c, inv_det), ad.neg(ad.mul(b, inv_det)), ad.mul(a, inv_det)], axis=1)
-    cov2d = ad.stack([a, b, c], axis=1)
-    return means2d, cov2d, conic, z
+    # the inner products of a, b and c, which the VJP reads
+    a1i, a2i, a3i = j00 * v00, j02 * v02, j02 * v22
+    b1i, b2i, b3i, b4i = j11 * v01, j12 * v02, j02 * v12, j12 * v22
+    c1i, c2i = j11 * v11, j12 * v12
+    a = ((j00 * a1i + (j00 * a2i) * 2.0) + j02 * a3i) + 0.3
+    b = ((j00 * b1i + j00 * b2i) + j11 * b3i) + j02 * b4i
+    c = ((j11 * c1i + (j11 * c2i) * 2.0) + j12 * b4i) + 0.3
+    det = a * c - b * b
+    inv_det = det**-1.0
+    conic = np.stack([c * inv_det, -(b * inv_det), a * inv_det], axis=1)
+    check_finite("project_gaussians", [det], (pc, cov3d))
+
+    def vjp(grads):
+        g_m, g_cov, g_con, g_z = grads
+        gx = gy = g_inv = None
+        if g_cov is not None or g_con is not None:
+            ga, gb, gc = (None, None, None) if g_cov is None else (g_cov[:, 0], g_cov[:, 1], g_cov[:, 2])
+            if g_con is not None:
+                # conic = (c, -b, a) / det, det = a c - b b
+                ga = _plus(ga, g_con[:, 2] * inv_det)
+                g_bi = -g_con[:, 1]
+                gb = _plus(gb, g_bi * inv_det)
+                gc = _plus(gc, g_con[:, 0] * inv_det)
+                g_det = (g_con[:, 2] * a + g_bi * b + g_con[:, 0] * c) * -1.0 * det**-2.0
+                gb = gb - g_det * b - g_det * b
+                ga = ga + g_det * c
+                gc = gc + g_det * a
+            # c, b, then a: each product's gradient into its two factors
+            t_c3i = gc * j12
+            gj12 = gc * b4i + t_c3i * v22
+            gv22 = t_c3i * j12
+            t_c2o = gc * 2.0
+            gj11 = t_c2o * c2i
+            t_c2i = t_c2o * j11
+            gj12 = gj12 + t_c2i * v12
+            gv12 = t_c2i * j12
+            t_c1i = gc * j11
+            gj11 = gj11 + gc * c1i + t_c1i * v11
+            gv11 = t_c1i * j11
+            t_b4i = gb * j02
+            gj02 = gb * b4i
+            gj12 = gj12 + t_b4i * v22
+            gv22 = gv22 + t_b4i * j12
+            t_b3i = gb * j11
+            gj11 = gj11 + gb * b3i
+            gj02 = gj02 + t_b3i * v12
+            gv12 = gv12 + t_b3i * j02
+            t_b2i = gb * j00
+            gj00 = gb * b2i
+            gj12 = gj12 + t_b2i * v02
+            gv02 = t_b2i * j12
+            t_b1i = gb * j00
+            gj00 = gj00 + gb * b1i
+            gj11 = gj11 + t_b1i * v01
+            gv01 = t_b1i * j11
+            t_a3i = ga * j02
+            gj02 = gj02 + ga * a3i + t_a3i * v22
+            gv22 = gv22 + t_a3i * j02
+            t_a2o = ga * 2.0
+            t_a2i = t_a2o * j00
+            gj00 = gj00 + t_a2o * a2i
+            gj02 = gj02 + t_a2i * v02
+            gv02 = gv02 + t_a2i * j02
+            t_a1i = ga * j00
+            gj00 = gj00 + ga * a1i + t_a1i * v00
+            gv00 = t_a1i * j00
+            # the composition's V entries were zero-padded getitems: += on zeros
+            g_vc = np.zeros_like(vc)
+            for (i, j), gv in zip(((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)),
+                                  (gv00, gv01, gv02, gv11, gv12, gv22)):
+                g_vc[:, i, j] += gv
+            # the Jacobian entries into x, y and 1/z
+            g_yii = gj12 * -fy
+            gy = g_yii * ii
+            g_ii = g_yii * y
+            g_inv = g_ii * inv_z + g_ii * inv_z + gj11 * fy
+            g_xii = gj02 * -fx
+            gx = g_xii * ii
+            g_ii = g_xii * x
+            g_inv = g_inv + g_ii * inv_z + g_ii * inv_z + gj00 * fx
+            accumulate_grad(cov3d, np.swapaxes(rot, -1, -2) @ (g_vc @ np.swapaxes(rot_t, -1, -2)))
+        if g_m is not None:
+            g_yi = g_m[:, 1] * fy
+            gy = _plus(gy, g_yi * inv_z)
+            g_inv = _plus(g_inv, g_yi * y)
+            g_xi = g_m[:, 0] * fx
+            gx = _plus(gx, g_xi * inv_z)
+            g_inv = _plus(g_inv, g_xi * x)
+        if g_inv is not None:
+            g_z = _plus(g_z, g_inv * -1.0 * z**-2.0)
+        g_pc = np.zeros_like(p)
+        for k, gk in enumerate((gx, gy, g_z)):
+            if gk is not None:
+                g_pc[:, k] += gk
+        accumulate_grad(pc, g_pc)
+
+    cov2d = np.stack([a, b, c], axis=1)
+    return record((means2d, cov2d, conic, z), (pc, cov3d), vjp, "project_gaussians")
+
+
+def _plus(acc, g):
+    """``acc + g``, or ``g`` when nothing has been summed yet."""
+    return g if acc is None else acc + g
+
+
+def appearance(sh: Tensor, opacity_logit: Tensor, rows: np.ndarray, positions: Tensor, center: np.ndarray):
+    """Colours (M,3) in [0,1] and opacities (M,) of the cloud rows ``rows``,
+    whose world positions are ``positions``, seen from the camera at
+    ``center``: one tape node with two outputs.
+
+    The colour is degree-1 spherical harmonics of the unit view direction,
+    clipped to [0,1]; the opacity is the logit's sigmoid. The forward and the
+    VJP follow the 27-node tape composition this replaced (the row gathers,
+    the view directions, the SH terms, the clip and the sigmoid), which
+    ``tests/test_fused_geometry.py`` keeps as the oracle. The unclipped colour
+    and the squared distances are checked as well as the outputs, because the
+    clip and the inverse root can hide a non-finite value."""
+    sh_k = sh.data[rows]
+    logit_k = opacity_logit.data[rows]
+    rel = positions.data - center
+    ssum = (rel * rel).sum(axis=1, keepdims=True)
+    inv_norm = ssum**-0.5
+    dirs = rel * inv_norm
+    raw = ((sh_k[:, 0, :] * SH_C0 + 0.5 - (dirs[:, 1:2] * sh_k[:, 1, :]) * SH_C1)
+           + (dirs[:, 2:3] * sh_k[:, 2, :]) * SH_C1) - (dirs[:, 0:1] * sh_k[:, 3, :]) * SH_C1
+    inside = (raw >= 0.0) & (raw <= 1.0)
+    opac = ad._sigmoid_stable(logit_k)
+    check_finite("appearance", [ssum, raw], (sh, opacity_logit, positions))
+
+    def vjp(grads):
+        g_col, g_op = grads
+        if g_col is not None:
+            g_raw = g_col * inside
+            # each linear SH term's gradient into its direction column and SH
+            # row; the composition padded both into zeros, as += on zeros does
+            g_dirs = np.zeros_like(dirs)
+            g_sh = np.zeros_like(sh_k)
+            for col, row, t in ((0, 3, -g_raw * SH_C1), (2, 2, g_raw * SH_C1), (1, 1, -g_raw * SH_C1)):
+                g_dirs[:, col:col + 1] += (t * sh_k[:, row, :]).sum(axis=(1,), keepdims=True)
+                g_sh[:, row, :] += t * dirs[:, col:col + 1]
+            g_sh[:, 0, :] += g_raw * SH_C0
+            # dirs = rel * |rel|^-1
+            g_ssum = (g_dirs * rel).sum(axis=(1,), keepdims=True) * -0.5 * ssum**-1.5
+            accumulate_grad(positions, g_dirs * inv_norm + g_ssum * rel + g_ssum * rel)
+        if g_op is not None:
+            accumulate_grad(opacity_logit, ad.scatter_add(rows, g_op * opac * (1.0 - opac), opacity_logit.data.shape))
+        if g_col is not None:
+            accumulate_grad(sh, ad.scatter_add(rows, g_sh, sh.data.shape))
+
+    return record((np.clip(raw, 0.0, 1.0), opac), (sh, opacity_logit, positions), vjp, "appearance")
 
 
 def _tile_ranges(h: int, w: int, tile: int):
@@ -413,15 +545,7 @@ def render(cloud: GaussianCloud, camera: Camera, t: float, deform_field=None, no
     settings = settings or RenderSettings()
     proj = project(cloud, camera, t, deform_field, normalizer, respect_dynamic_mask)
     keep = proj.visible_rows
-    sh_k = ad.take_rows(cloud.sh, keep)
-    logit_k = ad.take_rows(cloud.opacity_logit, keep)
-
-    rel = ad.sub(proj.positions, ad.constant(camera.center))
-    inv_norm = ad.pow_const(ad.sum_(ad.mul(rel, rel), axis=1, keepdims=True), -0.5)
-    dirs = ad.mul(rel, inv_norm)
-    colors = sh_colors(sh_k, dirs)
-    opac = ad.sigmoid(logit_k)
-
+    colors, opac = appearance(cloud.sh, cloud.opacity_logit, keep, proj.positions, camera.center)
     raw, aux = rasterize(proj.means2d, proj.conic, colors, opac, proj.depths, cloud.ids[keep], keep,
                          camera.height, camera.width, settings)
     return RenderOutput(raw, aux["t_final"], None, None, keep, proj.means2d, proj.cov2d, proj.depths, camera, t,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, accumulate_grad, check_finite, record
 
 
 PERCENT_DENSE = 0.01  # a hot particle wider than this fraction of the scene extent splits
@@ -24,45 +24,90 @@ class DegenerateRotationError(ValueError):
     """Quaternion norm fell below 1e-8; no rotation can be recovered."""
 
 
-def normalize_quaternions(quat: Tensor) -> Tensor:
-    norms = np.sqrt(np.sum(quat.data**2, axis=-1))
+def _check_quaternion_norms(n2: np.ndarray) -> None:
+    """Raise ``DegenerateRotationError`` if a squared norm ``n2`` is below (1e-8)^2."""
+    norms = np.sqrt(n2)
     if np.any(norms < 1e-8):
         raise DegenerateRotationError(f"quaternion norm {norms.min():.3e} below 1e-8")
+
+
+def normalize_quaternions(quat: Tensor) -> Tensor:
+    _check_quaternion_norms(np.sum(quat.data**2, axis=-1))
     n2 = ad.sum_(ad.mul(quat, quat), axis=-1, keepdims=True)
     return ad.mul(quat, ad.pow_const(n2, -0.5))
 
 
-def rotation_matrices(quat: Tensor) -> Tensor:
-    """Normalized quaternions (N,4) in (w,x,y,z) order -> rotation matrices (N,3,3)."""
-    q = normalize_quaternions(quat)
+def _rotation(quat: np.ndarray):
+    """(squared norms, their inverse roots, unit quaternions, rotations) of
+    (N,4) quaternions: the values ``normalize_quaternions`` and ``_rotmats_np``
+    give, which the rotation VJP reads."""
+    n2 = (quat * quat).sum(axis=-1, keepdims=True)
+    _check_quaternion_norms(n2)
+    inv = n2**-0.5
+    q = quat * inv
+    return n2, inv, q, _rotmats_np(q)
+
+
+def _rotation_vjp(g: np.ndarray, quat: Tensor, n2, inv, q) -> None:
+    """Accumulate the gradient ``g`` (N,3,3) of the rotations of ``quat`` into
+    it, summing in the order of the 51-node tape composition this replaced
+    (kept as the oracle in ``tests/test_fused_geometry.py``).
+
+    Entry (i, j) passes ``2 g_ij`` (``-2 g_ii`` on the diagonal) into its two
+    products. Each unit-quaternion component sums its terms in the sweep's
+    order, from r22 back to r00; ``a - b`` is ``a + (-b)`` bit for bit. The
+    composition padded each component's gradient into a zero (N,4) buffer,
+    which turned -0.0 into +0.0; the ``+ 0.0`` does the same."""
     w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    two = 2.0
-    r00 = 1.0 - two * (ad.mul(y, y) + ad.mul(z, z))
-    r01 = two * (ad.mul(x, y) - ad.mul(w, z))
-    r02 = two * (ad.mul(x, z) + ad.mul(w, y))
-    r10 = two * (ad.mul(x, y) + ad.mul(w, z))
-    r11 = 1.0 - two * (ad.mul(x, x) + ad.mul(z, z))
-    r12 = two * (ad.mul(y, z) - ad.mul(w, x))
-    r20 = two * (ad.mul(x, z) - ad.mul(w, y))
-    r21 = two * (ad.mul(y, z) + ad.mul(w, x))
-    r22 = 1.0 - two * (ad.mul(x, x) + ad.mul(y, y))
-    rows = ad.stack(
-        [
-            ad.stack([r00, r01, r02], axis=1),
-            ad.stack([r10, r11, r12], axis=1),
-            ad.stack([r20, r21, r22], axis=1),
-        ],
-        axis=1,
-    )
-    return rows  # (N, 3, 3)
+    s00, s11, s22 = (-g[:, 0, 0]) * 2.0, (-g[:, 1, 1]) * 2.0, (-g[:, 2, 2]) * 2.0
+    d01, d02, d10 = g[:, 0, 1] * 2.0, g[:, 0, 2] * 2.0, g[:, 1, 0] * 2.0
+    d12, d20, d21 = g[:, 1, 2] * 2.0, g[:, 2, 0] * 2.0, g[:, 2, 1] * 2.0
+    gw = d21 * x - d20 * y - d12 * x + d10 * z + d02 * y - d01 * z
+    gx = s22 * x + s22 * x + d21 * w + d20 * z - d12 * w + s11 * x + s11 * x + d10 * y + d02 * z + d01 * y
+    gy = s22 * y + s22 * y + d21 * z - d20 * w + d12 * z + d10 * x + d02 * w + d01 * x + s00 * y + s00 * y
+    gz = d21 * y + d20 * x + d12 * y + s11 * z + s11 * z + d10 * w + d02 * x - d01 * w + s00 * z + s00 * z
+    gq = np.stack([gw, gx, gy, gz], axis=1) + 0.0
+    # q = quat * n2^-1/2 and n2 = sum(quat * quat)
+    accumulate_grad(quat, gq * inv)
+    g_n2 = (gq * quat.data).sum(axis=(1,), keepdims=True) * -0.5 * n2**-1.5
+    accumulate_grad(quat, g_n2 * quat.data)
+    accumulate_grad(quat, g_n2 * quat.data)
+
+
+def rotation_matrices(quat: Tensor) -> Tensor:
+    """Normalized quaternions (N,4) in (w,x,y,z) order -> rotation matrices
+    (N,3,3): one tape node. A norm below 1e-8 raises
+    ``DegenerateRotationError``; the squared norms are checked as well as the
+    rotations, because an overflowing norm still gives a finite rotation."""
+    n2, inv, q, rot = _rotation(quat.data)
+    check_finite("rotation_matrices", [n2], (quat,))
+
+    def vjp(g):
+        _rotation_vjp(g, quat, n2, inv, q)
+
+    return record(rot, (quat,), vjp, "rotation_matrices")
 
 
 def covariance(quat: Tensor, log_scale: Tensor) -> Tensor:
-    """World-space covariance R diag(exp(s))^2 R^T for each particle, (N,3,3)."""
-    rot = rotation_matrices(quat)
-    scale = ad.exp(log_scale)  # (N, 3)
-    m = ad.mul(rot, ad.reshape(scale, (scale.shape[0], 1, 3)))
-    return ad.matmul(m, ad.swapaxes(m, 1, 2))
+    """World-space covariance R diag(exp(s))^2 R^T for each particle, (N,3,3):
+    one tape node, with the rotation of ``rotation_matrices``. The VJP sums in
+    the order of the tape composition this replaced."""
+    n2, inv, q, rot = _rotation(quat.data)
+    scale = np.exp(log_scale.data)
+    r = scale.reshape(scale.shape[0], 1, 3)
+    m = rot * r
+    mt = np.swapaxes(m, 1, 2)
+    check_finite("covariance", [n2], (quat, log_scale))
+
+    def vjp(g):
+        # cov = m m^T: the matmul's gradient into m, then its gradient into
+        # m^T carried back through the transpose
+        gm = g @ np.swapaxes(mt, -1, -2)
+        gm = gm + np.swapaxes(np.swapaxes(m, -1, -2) @ g, 1, 2)
+        accumulate_grad(log_scale, (gm * rot).sum(axis=(1,), keepdims=True).reshape(scale.shape) * scale)
+        _rotation_vjp(gm * r, quat, n2, inv, q)
+
+    return record(m @ mt, (quat, log_scale), vjp, "covariance")
 
 
 class GaussianCloud:

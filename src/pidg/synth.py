@@ -26,6 +26,7 @@ pixels whose analytic motion flow exceeds 0.1 px.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -414,6 +415,23 @@ def scene_data(scene: SyntheticScene) -> SceneData:
                      scene.masks, scene.cameras, scene.times, scene.bounds, scene.spec)
 
 
+def _manifest_bounds(bounds, path) -> tuple[np.ndarray, float]:
+    """The (center, scale) of a manifest's ``bounds`` entry: an object with a
+    3-number ``center`` and a positive finite ``scale``."""
+    if not isinstance(bounds, dict):
+        raise ValueError(f"{path}: 'bounds' must be an object with 'center' and 'scale'")
+    center, scale = bounds.get("center"), bounds.get("scale")
+    if not (isinstance(center, list) and len(center) == 3 and all(map(_finite_number, center))):
+        raise ValueError(f"{path}: 'bounds.center' must list 3 finite numbers, got {center!r}")
+    if not (_finite_number(scale) and scale > 0):
+        raise ValueError(f"{path}: 'bounds.scale' must be a positive finite number, got {scale!r}")
+    return np.asarray(center, dtype=np.float64), float(scale)
+
+
+def _finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def load_scene(scene_dir) -> SceneData:
     """The scene ``write_scene`` wrote to ``scene_dir``; a malformed
     scene.json raises a ValueError naming the file and the bad entry."""
@@ -436,7 +454,7 @@ def load_scene(scene_dir) -> SceneData:
     flows_b = [pio.read_flow(d / f"flow_b_{f:04d}.flo") for f in range(frames - 1)]
     flows_fwd = [pio.read_flow(d / f"flow_fwd_{f:04d}.flo") for f in range(frames - 1)]
     cameras = pio.read_cameras(d / "cameras.json")
-    bounds = (np.asarray(manifest["bounds"]["center"]), float(manifest["bounds"]["scale"]))
+    bounds = _manifest_bounds(manifest["bounds"], path)
     spec = SceneSpec.from_dict(manifest["spec"]) if "spec" in manifest else None
     return SceneData(images, depths, flows_b, flows_fwd, masks, cameras, times=times,
                      bounds=bounds, spec=spec)

@@ -62,7 +62,11 @@ def initial_scales(mu: np.ndarray, scene_scale: float) -> np.ndarray:
         nn = np.empty(n)
         for lo in range(0, n, INIT_BLOCK):
             rows = np.arange(lo, min(lo + INIT_BLOCK, n))
-            d2 = np.sum((mu[rows, None, :] - mu[None, :, :]) ** 2, axis=2)
+            # numpy sums the length-3 coordinate axis left to right, so the
+            # per-column squares summed in that order give the same bytes
+            # without a (rows, n, 3) difference array
+            dx, dy, dz = (mu[rows, None, c] - mu[None, :, c] for c in range(3))
+            d2 = (dx * dx + dy * dy) + dz * dz
             d2[rows - lo, rows] = np.inf
             nn[rows] = np.sqrt(np.sort(np.partition(d2, k - 1, axis=1)[:, :k], axis=1)).mean(axis=1)
     return np.clip(nn, 1e-4 * scene_scale, 0.05 * scene_scale)

@@ -219,6 +219,20 @@ def test_unreadable_scene_is_one_error_line(workspace, tmp_path, capsys, command
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "render"])
+def test_bad_scene_bounds_is_one_error_line(workspace, tmp_path, capsys, command):
+    scene = tmp_path / "scene"
+    shutil.copytree(workspace["scene"], scene)
+    manifest = scene / "scene.json"
+    doc = json.loads(manifest.read_text())
+    del doc["bounds"]["scale"]
+    manifest.write_text(json.dumps(doc))
+    assert main(_scene_args(command, workspace, scene, tmp_path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {manifest}: 'bounds.scale' must be a positive finite number, got None"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_render_color_and_depth(workspace, tmp_path):
     out = tmp_path / "r"
     assert main(["render", str(workspace["ckpt"]), "--scene", str(workspace["scene"]),

@@ -132,3 +132,34 @@ def test_exp_decay_schedule():
     assert np.isclose(exp_decay(0, 100), 1.0)
     assert np.isclose(exp_decay(40, 100), 0.1)
     assert np.isclose(exp_decay(80, 100), 0.01)
+
+
+def _out_of_place_step(p, m, v, g, t, lr, live):
+    """The update as out-of-place numpy formulas over the live rows."""
+    m[live] = BETA1 * m[live] + (1.0 - BETA1) * g[live]
+    v[live] = BETA2 * v[live] + (1.0 - BETA2) * g[live] ** 2
+    mhat = m[live] / (1.0 - BETA1**t)
+    vhat = v[live] / (1.0 - BETA2**t)
+    p[live] -= lr * mhat / (np.sqrt(vhat) + EPS)
+
+
+@pytest.mark.parametrize("shape", [(7,), (7, 3), (7, 4, 3)])
+def test_in_place_update_matches_the_out_of_place_formulas_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    x0 = rng.normal(size=shape)
+    p = ad.parameter(x0.copy())
+    opt = Adam()
+    opt.register("p", p)
+    ref_p, ref_m, ref_v = x0.copy(), np.zeros(shape), np.zeros(shape)
+    for t in range(1, 6):
+        g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
+        g[rng.uniform(size=shape) < 0.2] = -0.0
+        frozen = rng.uniform(size=shape[0]) < 0.4 if t % 2 else None
+        p.grad = g.copy()
+        opt.step({"p": 0.03}, freeze_rows=None if frozen is None else {"p": frozen})
+        _out_of_place_step(ref_p, ref_m, ref_v, g, t, 0.03, slice(None) if frozen is None else ~frozen)
+        slot = opt.slots["p"]
+        assert p.data.tobytes() == ref_p.tobytes()
+        assert slot["m"].tobytes() == ref_m.tobytes()
+        assert slot["v"].tobytes() == ref_v.tobytes()
+        assert p.grad.tobytes() == g.tobytes()  # the gradient is only read

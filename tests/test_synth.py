@@ -279,6 +279,14 @@ def _drop(key):
     (_drop("bounds"), "'bounds'"),
     (lambda m: m["times"].pop(), "'times'"),
     (lambda m: m.update(frames="2"), "'frames'"),
+    (lambda m: m.update(bounds=[0.0, 1.0]), "'bounds'"),
+    (lambda m: m["bounds"].pop("center"), "'bounds.center'"),
+    (lambda m: m["bounds"].update(center=[0.0, 1.0]), "'bounds.center'"),
+    (lambda m: m["bounds"].update(center=[0.0, "1", 2.0]), "'bounds.center'"),
+    (lambda m: m["bounds"].pop("scale"), "'bounds.scale'"),
+    (lambda m: m["bounds"].update(scale=0.0), "'bounds.scale'"),
+    (lambda m: m["bounds"].update(scale=-2.0), "'bounds.scale'"),
+    (lambda m: m["bounds"].update(scale=True), "'bounds.scale'"),
 ])
 def test_load_scene_names_a_bad_manifest_entry(tmp_path, edit, entry):
     out = write_scene(generate(small_spec(frames=2)), tmp_path / "scene")
