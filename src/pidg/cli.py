@@ -153,10 +153,10 @@ def _load_pose(path, like: Camera | None) -> Camera:
         d = json.load(f)
     if "rot" in d:
         return Camera.from_dict(d)
-    width = d.get("width", like.width if like else 64)
-    height = d.get("height", like.height if like else 64)
+    width = d.get("width", like.width if like else SceneSpec.width)
+    height = d.get("height", like.height if like else SceneSpec.height)
     return camera_from_fov(d["position"], d.get("target", (0.0, 0.0, 0.0)),
-                           d.get("fov_deg", 45.0), width, height)
+                           d.get("fov_deg", SceneSpec.fov_deg), width, height)
 
 
 def cmd_render(args) -> int:

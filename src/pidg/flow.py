@@ -62,16 +62,6 @@ class FlowField:
     def width(self) -> int:
         return self.vectors.shape[1]
 
-    @classmethod
-    def zeros(cls, height: int, width: int, valid: bool = True) -> "FlowField":
-        return cls(np.zeros((height, width, 2)), np.full((height, width), valid))
-
-    @classmethod
-    def constant(cls, height: int, width: int, du: float, dv: float) -> "FlowField":
-        v = np.empty((height, width, 2))
-        v[..., 0], v[..., 1] = du, dv
-        return cls(v, np.ones((height, width), dtype=bool))
-
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.vectors[..., 0], self.vectors[..., 1])
 

@@ -249,11 +249,14 @@ def appearance(sh: Tensor, opacity_logit: Tensor, rows: np.ndarray, positions: T
     clipped to [0,1]; the opacity is the logit's sigmoid. The forward and the
     VJP follow the 27-node tape composition this replaced (the row gathers,
     the view directions, the SH terms, the clip and the sigmoid), which
-    ``tests/test_fused_geometry.py`` keeps as the oracle. The unclipped colour
-    and the squared distances are checked as well as the outputs, because the
-    clip and the inverse root can hide a non-finite value."""
+    ``tests/test_fused_geometry.py`` keeps as the oracle. The gathered SH and
+    logit rows are checked before any arithmetic, so a non-finite one aborts
+    without a RuntimeWarning; the unclipped colour and the squared distances
+    are checked as well as the outputs, because the clip and the inverse
+    root can hide a non-finite value."""
     sh_k = sh.data[rows]
     logit_k = opacity_logit.data[rows]
+    check_finite("appearance", [sh_k, logit_k], (sh, opacity_logit, positions))
     rel = positions.data - center
     ssum = (rel * rel).sum(axis=1, keepdims=True)
     inv_norm = ssum**-0.5

@@ -18,34 +18,43 @@ from .autodiff import Tensor, accumulate_grad, check_finite, record
 PERCENT_DENSE = 0.01  # a hot particle wider than this fraction of the scene extent splits
 SPLIT_FACTOR = 1.6  # a split child's scales are its parent's divided by this
 INIT_COLOR = 0.35  # the gray of ``GaussianCloud.random_init``
+INIT_OPACITY = 0.1  # the opacity of a new particle, random or seeded from depth
 
 
 class DegenerateRotationError(ValueError):
     """Quaternion norm fell below 1e-8; no rotation can be recovered."""
 
 
-def _check_quaternion_norms(n2: np.ndarray) -> None:
-    """Raise ``DegenerateRotationError`` if a squared norm ``n2`` is below (1e-8)^2."""
+def _unit(quat: np.ndarray):
+    """(squared norms, their inverse roots, unit quaternions) of (N,4)
+    quaternions, which the VJPs read. A norm below 1e-8 raises
+    ``DegenerateRotationError``."""
+    n2 = (quat * quat).sum(axis=-1, keepdims=True)
     norms = np.sqrt(n2)
     if np.any(norms < 1e-8):
         raise DegenerateRotationError(f"quaternion norm {norms.min():.3e} below 1e-8")
+    inv = n2**-0.5
+    return n2, inv, quat * inv
+
+
+def _unit_vjp(gq: np.ndarray, quat: Tensor, n2, inv) -> None:
+    """Accumulate the gradient ``gq`` (N,4) of the unit quaternions
+    ``quat * n2^-1/2``, n2 = sum(quat * quat), into ``quat``, summing in the
+    order of the 4-node tape composition (mul, sum, pow, mul) this replaced."""
+    accumulate_grad(quat, gq * inv)
+    g_n2 = (gq * quat.data).sum(axis=(1,), keepdims=True) * -0.5 * n2**-1.5
+    accumulate_grad(quat, g_n2 * quat.data)
+    accumulate_grad(quat, g_n2 * quat.data)
 
 
 def normalize_quaternions(quat: Tensor) -> Tensor:
-    _check_quaternion_norms(np.sum(quat.data**2, axis=-1))
-    n2 = ad.sum_(ad.mul(quat, quat), axis=-1, keepdims=True)
-    return ad.mul(quat, ad.pow_const(n2, -0.5))
-
-
-def _rotation(quat: np.ndarray):
-    """(squared norms, their inverse roots, unit quaternions, rotations) of
-    (N,4) quaternions: the values ``normalize_quaternions`` and ``_rotmats_np``
-    give, which the rotation VJP reads."""
-    n2 = (quat * quat).sum(axis=-1, keepdims=True)
-    _check_quaternion_norms(n2)
-    inv = n2**-0.5
-    q = quat * inv
-    return n2, inv, q, _rotmats_np(q)
+    """Unit quaternions (N,4): one tape node, bit-equal to the composition
+    kept as the oracle in ``tests/test_fused_geometry.py``. A norm below 1e-8
+    raises ``DegenerateRotationError``; the squared norms are checked as well
+    as the output, because an overflowing norm still gives a finite output."""
+    n2, inv, q = _unit(quat.data)
+    check_finite("normalize_quaternions", [n2], (quat,))
+    return record(q, (quat,), lambda g: _unit_vjp(g, quat, n2, inv), "normalize_quaternions")
 
 
 def _rotation_vjp(g: np.ndarray, quat: Tensor, n2, inv, q) -> None:
@@ -66,12 +75,7 @@ def _rotation_vjp(g: np.ndarray, quat: Tensor, n2, inv, q) -> None:
     gx = s22 * x + s22 * x + d21 * w + d20 * z - d12 * w + s11 * x + s11 * x + d10 * y + d02 * z + d01 * y
     gy = s22 * y + s22 * y + d21 * z - d20 * w + d12 * z + d10 * x + d02 * w + d01 * x + s00 * y + s00 * y
     gz = d21 * y + d20 * x + d12 * y + s11 * z + s11 * z + d10 * w + d02 * x - d01 * w + s00 * z + s00 * z
-    gq = np.stack([gw, gx, gy, gz], axis=1) + 0.0
-    # q = quat * n2^-1/2 and n2 = sum(quat * quat)
-    accumulate_grad(quat, gq * inv)
-    g_n2 = (gq * quat.data).sum(axis=(1,), keepdims=True) * -0.5 * n2**-1.5
-    accumulate_grad(quat, g_n2 * quat.data)
-    accumulate_grad(quat, g_n2 * quat.data)
+    _unit_vjp(np.stack([gw, gx, gy, gz], axis=1) + 0.0, quat, n2, inv)
 
 
 def rotation_matrices(quat: Tensor) -> Tensor:
@@ -79,7 +83,8 @@ def rotation_matrices(quat: Tensor) -> Tensor:
     (N,3,3): one tape node. A norm below 1e-8 raises
     ``DegenerateRotationError``; the squared norms are checked as well as the
     rotations, because an overflowing norm still gives a finite rotation."""
-    n2, inv, q, rot = _rotation(quat.data)
+    n2, inv, q = _unit(quat.data)
+    rot = _rotmats_np(q)
     check_finite("rotation_matrices", [n2], (quat,))
 
     def vjp(g):
@@ -92,7 +97,8 @@ def covariance(quat: Tensor, log_scale: Tensor) -> Tensor:
     """World-space covariance R diag(exp(s))^2 R^T for each particle, (N,3,3):
     one tape node, with the rotation of ``rotation_matrices``. The VJP sums in
     the order of the tape composition this replaced."""
-    n2, inv, q, rot = _rotation(quat.data)
+    n2, inv, q = _unit(quat.data)
+    rot = _rotmats_np(q)
     scale = np.exp(log_scale.data)
     r = scale.reshape(scale.shape[0], 1, 3)
     m = rot * r
@@ -132,7 +138,7 @@ class GaussianCloud:
         return {name: getattr(self, name) for name in self.PARAMS}
 
     @classmethod
-    def random_init(cls, rng, count, center, radius, base_scale, opacity=0.1):
+    def random_init(cls, rng, count, center, radius, base_scale, opacity=INIT_OPACITY):
         """Particles uniform in a ball, axis-aligned, mid-gray, shared opacity."""
         d = rng.normal(size=(count, 3))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
@@ -191,65 +197,47 @@ def densify_and_prune(
     scene_extent: float,
     scale_threshold: float,
     min_opacity: float,
+    max_particles: int,
 ):
-    """Clone small / split large high-gradient particles, then prune.
+    """Clone small / split large high-gradient particles, prune, and keep
+    the cloud inside ``max_particles``: one edit of the cloud's rows.
 
-    Children take the parent's id. Split children sample their position from
-    the parent's own ellipsoid and shrink each scale by ``SPLIT_FACTOR``; the
-    parent row is retired. Returns (kept_old_rows, n_appended): the surviving
-    original rows in order, followed by that many appended child rows, which
-    is what an optimizer needs to carry its per-row state across the edit.
+    A cloud already at the budget only prunes. The new rows are the kept
+    rows, then the clones, then each split parent twice, gathered from one
+    source-row map. Children take the parent's id. Split children sample
+    their position from the parent's own ellipsoid and shrink each scale by
+    ``SPLIT_FACTOR``; the parent row is retired. When the rows exceed the
+    budget, the faintest are dropped from the map. Returns (kept_old_rows,
+    n_appended): the surviving original rows in order, followed by that many
+    appended child rows, which is what an optimizer needs to carry its
+    per-row state across the edit.
     """
-    n = len(cloud)
-    grad_norms = np.asarray(grad_norms, dtype=np.float64)
-    max_scale = self_max_scale(cloud)
-    hot = grad_norms >= grad_threshold
-    split = hot & (max_scale > PERCENT_DENSE * scene_extent)
-    clone = hot & ~split
-
-    arrays = {k: v.data for k, v in cloud.params.items()}
+    if len(cloud) >= max_particles:
+        grad_threshold = np.inf  # over budget: prune only
+    hot = np.asarray(grad_norms, dtype=np.float64) >= grad_threshold
+    split = hot & (self_max_scale(cloud) > PERCENT_DENSE * scene_extent)
     remove = prune_mask(cloud, scale_threshold, scene_extent, min_opacity)
-
     kept = np.nonzero(~(remove | split))[0]
-    clone_src = np.nonzero(clone & ~remove)[0]
-    split_src = np.nonzero(split & ~remove)[0]
-
-    new_chunks = {k: [arrays[k][kept]] for k in arrays}
-    new_ids = [cloud.ids[kept]]
-    new_dyn = [cloud.dynamic[kept]]
-
-    if len(clone_src):
-        for k in arrays:
-            new_chunks[k].append(arrays[k][clone_src].copy())
-        new_ids.append(cloud.ids[clone_src])
-        new_dyn.append(cloud.dynamic[clone_src])
-
-    if len(split_src):
-        reps = np.repeat(split_src, 2)
-        mu = arrays["mu"][reps]
-        quat = arrays["quat"][reps]
-        log_scale = arrays["log_scale"][reps]
+    parents = np.repeat(np.nonzero(split & ~remove)[0], 2)
+    rows = np.concatenate([kept, np.nonzero(hot & ~split & ~remove)[0], parents])
+    first_child = len(rows) - len(parents)
+    keep = np.arange(len(rows))
+    if len(rows) > max_particles:
+        # trim the faintest rows to stay inside the particle budget
+        keep = np.sort(np.argsort(cloud.opacities()[rows])[::-1][:max_particles])
+    rows = rows[keep]
+    arrays = {k: v.data[rows] for k, v in cloud.params.items()}
+    if len(parents):
         # sample offsets inside the parent ellipsoid: R @ (exp(s) * eps)
-        eps = rng.normal(size=(len(reps), 3)) * np.exp(log_scale)
-        qn = quat / np.linalg.norm(quat, axis=1, keepdims=True)
-        rot = _rotmats_np(qn)
-        mu = mu + np.einsum("nij,nj->ni", rot, eps)
-        for k in arrays:
-            if k == "mu":
-                new_chunks[k].append(mu)
-            elif k == "log_scale":
-                new_chunks[k].append(log_scale - np.log(SPLIT_FACTOR))
-            else:
-                new_chunks[k].append(arrays[k][reps].copy())
-        new_ids.append(cloud.ids[reps])
-        new_dyn.append(cloud.dynamic[reps])
-
-    merged = {k: np.concatenate(v, axis=0) for k, v in new_chunks.items()}
-    ids = np.concatenate(new_ids)
-    dyn = np.concatenate(new_dyn)
-    n_appended = len(ids) - len(kept)
-    cloud.replace_rows(merged, ids, dyn)
-    return kept, n_appended
+        eps = rng.normal(size=(len(parents), 3)) * np.exp(cloud.log_scale.data[parents])
+        quat = cloud.quat.data[parents]
+        shift = np.einsum("nij,nj->ni", _rotmats_np(quat / np.linalg.norm(quat, axis=1, keepdims=True)), eps)
+        child = keep >= first_child
+        arrays["mu"][child] += shift[keep[child] - first_child]
+        arrays["log_scale"][child] -= np.log(SPLIT_FACTOR)
+    cloud.replace_rows(arrays, cloud.ids[rows], cloud.dynamic[rows])
+    n_kept = int(np.count_nonzero(keep < len(kept)))
+    return rows[:n_kept], len(rows) - n_kept
 
 
 def _rotmats_np(q: np.ndarray) -> np.ndarray:

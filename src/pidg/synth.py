@@ -220,26 +220,33 @@ class MotionModel:
         raise ValueError(s.variant)
 
 
-class SyntheticScene:
-    """Generated scene: exact in-memory assets plus the analytic motion model."""
+class SceneData:
+    """A training-ready scene loaded from disk (or taken from memory)."""
 
-    def __init__(self, spec: SceneSpec, cloud0: GaussianCloud, cameras, times, images,
-                 depths, flows_b, flows_fwd, masks, bounds):
-        self.spec = spec
-        self.cloud0 = cloud0
-        self.cameras = cameras
-        self.times = times
+    def __init__(self, images, depths, flows_b, flows_fwd, masks, cameras, times, bounds, spec=None):
         self.images = images      # (F, H, W, 3)
         self.depths = depths      # (F, H, W) coverage-normalized; 0 where empty
         self.flows_b = flows_b    # F-1 backward FlowFields (frame f+1 -> f)
         self.flows_fwd = flows_fwd  # F-1 forward FlowFields (frame f -> f+1)
         self.masks = masks        # (F, H, W) bool
+        self.cameras = cameras
+        self.times = times
         self.bounds = bounds      # (center (3,), scale float) for normalization
-        self.motion = MotionModel(spec)
+        self.spec = spec
 
     @property
     def frames(self) -> int:
         return len(self.times)
+
+
+class SyntheticScene(SceneData):
+    """Generated scene: exact in-memory assets plus the analytic motion model."""
+
+    def __init__(self, spec: SceneSpec, cloud0: GaussianCloud, cameras, times, images,
+                 depths, flows_b, flows_fwd, masks, bounds):
+        super().__init__(images, depths, flows_b, flows_fwd, masks, cameras, times, bounds, spec)
+        self.cloud0 = cloud0
+        self.motion = MotionModel(spec)
 
     def cloud_at(self, f: int) -> GaussianCloud:
         """Ground-truth cloud posed at frame f (rigid variants rotate shapes)."""
@@ -332,12 +339,13 @@ def generate(spec: SceneSpec) -> SyntheticScene:
     scene.images, scene.depths = images, depths
 
     grid = _pixel_grid(spec.height, spec.width).reshape(-1, 2)
+    # the reference positions of each frame's surface points, lifted from its depth once
+    x0 = [motion.inverse(surface_points(depths[f], cams[f]).reshape(-1, 3), times[f]) for f in range(spec.frames)]
 
     def carried_flow(src: int, dst: int) -> FlowField:
         """Flow at I_src: where each surface point of frame src is at time dst,
         seen by camera dst."""
-        surf = surface_points(depths[src], cams[src]).reshape(-1, 3)
-        p, z = cams[dst].project(motion.forward(motion.inverse(surf, times[src]), times[dst]))
+        p, z = cams[dst].project(motion.forward(x0[src], times[dst]))
         ok = covers[src].reshape(-1) & (z > 0)
         return FlowField((p - grid).reshape(spec.height, spec.width, 2), ok.reshape(spec.height, spec.width))
 
@@ -347,10 +355,8 @@ def generate(spec: SceneSpec) -> SyntheticScene:
     masks = np.zeros((spec.frames, spec.height, spec.width), dtype=bool)
     for f in range(spec.frames):
         pair = (f, f + 1) if f < spec.frames - 1 else (f - 1, f)
-        surf = surface_points(depths[f], cams[f]).reshape(-1, 3)
-        x0 = motion.inverse(surf, times[f])
-        pa, za = cams[f].project(motion.forward(x0, times[pair[0]]))
-        pb, zb = cams[f].project(motion.forward(x0, times[pair[1]]))
+        pa, za = cams[f].project(motion.forward(x0[f], times[pair[0]]))
+        pb, zb = cams[f].project(motion.forward(x0[f], times[pair[1]]))
         mag = np.hypot(*(pb - pa).T)
         masks[f] = (covers[f].reshape(-1) & (za > 0) & (zb > 0)
                     & (mag > MASK_THRESHOLD_PX)).reshape(spec.height, spec.width)
@@ -388,25 +394,6 @@ def write_scene(scene: SyntheticScene, out_dir) -> Path:
     with open(out / "scene.json", "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
     return out
-
-
-class SceneData:
-    """A training-ready scene loaded from disk (or taken from memory)."""
-
-    def __init__(self, images, depths, flows_b, flows_fwd, masks, cameras, times, bounds, spec=None):
-        self.images = images
-        self.depths = depths
-        self.flows_b = flows_b
-        self.flows_fwd = flows_fwd
-        self.masks = masks
-        self.cameras = cameras
-        self.times = times
-        self.bounds = bounds
-        self.spec = spec
-
-    @property
-    def frames(self) -> int:
-        return len(self.times)
 
 
 def scene_data(scene: SyntheticScene) -> SceneData:

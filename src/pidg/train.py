@@ -28,7 +28,8 @@ from .material import MaterialField
 from .optim import Adam, exp_decay
 from .physics import block_sampled_cmr, momentum_residual
 from .render import RenderSettings, project, render
-from .scene import SH_C0, GaussianCloud, SceneNormalizer, densify_and_prune, partition_dynamic
+from .scene import (INIT_OPACITY, SH_C0, GaussianCloud, SceneNormalizer, _logit, densify_and_prune,
+                    partition_dynamic)
 from .synth import SceneData
 
 METRICS_HEADER = "iter,loss_total,loss_renders,loss_cmr,loss_lpfm,psnr,num_gaussians"
@@ -132,7 +133,7 @@ class Trainer:
         sh[:, 0, :] = (colors[sel] - 0.5) / SH_C0
         quat = np.zeros((n, 4))
         quat[:, 0] = 1.0
-        logit = np.full(n, float(np.log(0.1 / 0.9)))
+        logit = np.full(n, _logit(INIT_OPACITY))
         return GaussianCloud(mu, quat, np.log(s)[:, None] * np.ones((1, 3)), sh, logit, np.arange(n))
 
     def stage(self, iteration: int | None = None) -> int:
@@ -204,22 +205,11 @@ class Trainer:
     def _densify(self) -> None:
         cfg = self.config
         avg = self._grad_accum / np.maximum(self._grad_count, 1.0)
-        threshold = cfg.densify_grad_threshold
-        if len(self.cloud.ids) >= cfg.max_particles:
-            threshold = np.inf  # over budget: prune only
-        kept, n_app = densify_and_prune(self.cloud, avg, self.rng, threshold, self.extent,
+        kept, n_app = densify_and_prune(self.cloud, avg, self.rng, cfg.densify_grad_threshold, self.extent,
                                         scale_threshold=cfg.prune_scale_threshold,
-                                        min_opacity=cfg.min_opacity)
+                                        min_opacity=cfg.min_opacity, max_particles=cfg.max_particles)
         for name in self.cloud.params:
             self.opt.remap_rows(f"cloud.{name}", kept, n_app)
-        if len(self.cloud.ids) > cfg.max_particles:
-            # trim the faintest extras to stay inside the particle budget
-            order = np.argsort(self.cloud.opacities())[::-1]
-            keep = np.sort(order[: cfg.max_particles])
-            arrays = {k: v.data[keep] for k, v in self.cloud.params.items()}
-            self.cloud.replace_rows(arrays, self.cloud.ids[keep], self.cloud.dynamic[keep])
-            for name in self.cloud.params:
-                self.opt.remap_rows(f"cloud.{name}", keep, 0)
         self._grad_accum = np.zeros(len(self.cloud.ids))
         self._grad_count = np.zeros(len(self.cloud.ids))
 

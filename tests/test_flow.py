@@ -76,7 +76,7 @@ def test_bilinear_sample_exact_values_and_strict_validity():
 def test_warp_identity_under_zero_flow():
     rng = np.random.default_rng(0)
     field = FlowField(rng.normal(size=(5, 6, 2)), np.ones((5, 6), dtype=bool))
-    warped = warp_flow_forward(field, FlowField.zeros(5, 6))
+    warped = warp_flow_forward(field, FlowField(np.zeros((5, 6, 2)), np.ones((5, 6), dtype=bool)))
     # strict 4-corner validity: the bottom row / right column have no complete
     # interpolation cell, everything else reproduces the input exactly
     assert warped.valid[:4, :5].all()
@@ -86,7 +86,7 @@ def test_warp_identity_under_zero_flow():
 
 def test_warp_invalidates_exiting_correspondences():
     field = FlowField(np.ones((4, 4, 2)), np.ones((4, 4), dtype=bool))
-    push = FlowField.constant(4, 4, 2.0, 0.0)  # shifts everything right
+    push = FlowField(np.tile([2.0, 0.0], (4, 4, 1)), np.ones((4, 4), dtype=bool))  # shifts everything right
     warped = warp_flow_forward(field, push)
     assert not warped.valid[:, 2:].any()  # targets leave the image
     assert warped.valid[:3, 0].all()  # bottom row has no interpolation cell
@@ -343,7 +343,7 @@ def test_lpfm_loss_zero_pixels_warns():
     with ad.Tape():
         g = SparseFlow(shape, pv, pu, ad.constant(np.zeros((1, 2))), np.array([True]))
         v = SparseFlow(shape, pv, pu, ad.constant(np.zeros((1, 2))), np.array([True]))
-        gt = FlowField.zeros(2, 2)
+        gt = FlowField(np.zeros((2, 2, 2)), np.ones((2, 2), dtype=bool))
         with pytest.warns(UserWarning):
             loss = lpfm_loss(g, v, gt, np.zeros(shape), 0.5, 0.5)
     assert loss.data == 0.0
@@ -356,7 +356,7 @@ def test_lpfm_loss_rejects_mismatched_pixel_sets():
         v = SparseFlow((2, 2), np.array([0, 1]), np.array([0, 1]),
                        ad.constant(np.zeros((2, 2))), np.array([True, True]))
         with pytest.raises(ValueError):
-            lpfm_loss(g, v, FlowField.zeros(2, 2), np.ones((2, 2)), 0.5, 0.5)
+            lpfm_loss(g, v, FlowField(np.zeros((2, 2, 2)), np.ones((2, 2), dtype=bool)), np.ones((2, 2)), 0.5, 0.5)
 
 
 # ---------------------------------------------------------------- fused transport

@@ -1,10 +1,11 @@
 """The particle chain's fused ops against the tape compositions they replaced.
 
-``rotation_matrices``, ``covariance``, ``project_gaussians`` and
-``appearance`` are one tape node each with a hand-written VJP. The
-compositions below are the ordinary tape ops they replaced, kept as oracles:
-every forward output and every parent's gradient must match them bit for
-bit, signed zeros included, also when a parent already holds a gradient.
+``normalize_quaternions``, ``rotation_matrices``, ``covariance``,
+``project_gaussians`` and ``appearance`` are one tape node each with a
+hand-written VJP. The compositions below are the ordinary tape ops they
+replaced, kept as oracles: every forward output and every parent's gradient
+must match them bit for bit, signed zeros included, also when a parent
+already holds a gradient.
 """
 
 from __future__ import annotations
@@ -27,8 +28,13 @@ from pidg.train import Trainer
 # -- oracles: the tape compositions -------------------------------------------
 
 
+def _normalize_oracle(quat):
+    n2 = ad.sum_(ad.mul(quat, quat), axis=-1, keepdims=True)
+    return ad.mul(quat, ad.pow_const(n2, -0.5))
+
+
 def _rotation_oracle(quat):
-    q = normalize_quaternions(quat)
+    q = _normalize_oracle(quat)
     w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
     two = 2.0
     r00 = 1.0 - two * (ad.mul(y, y) + ad.mul(z, z))
@@ -153,6 +159,24 @@ def _quats(rng, n, tiny=False):
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("with_prior", [False, True])
+def test_normalize_quaternions_matches_the_composition(seed, with_prior):
+    rng = np.random.default_rng(70 + seed)
+    q = _quats(rng, 7, tiny=seed == 3)
+    _assert_same(normalize_quaternions, _normalize_oracle, [q], (), [_signed_weights(rng, (7, 4))],
+                 _priors(rng, [q], with_prior))
+
+
+def test_normalize_quaternions_repeated_rows_match_the_composition():
+    # the static rows of a deformed render normalise a gathered, repeated input
+    rng = np.random.default_rng(80)
+    q = _quats(rng, 4)
+    rows = np.array([2, 0, 2, 3, 2])
+    _assert_same(normalize_quaternions, _normalize_oracle, [q], (), [_signed_weights(rng, (5, 4))],
+                 _priors(rng, [q], True), derived={0: rows})
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("with_prior", [False, True])
 def test_rotation_matrices_match_the_composition(seed, with_prior):
     rng = np.random.default_rng(seed)
     q = _quats(rng, 7, tiny=seed == 3)
@@ -248,6 +272,8 @@ def test_fused_chain_matches_the_composition_hypothesis(seed, n, tiny, near, yaw
     _assert_same(_projected, _projected_oracle, arrays, (cam,), weights, _priors(rng, arrays, with_prior))
     _assert_same(rotation_matrices, _rotation_oracle, [quat], (), [_signed_weights(rng, (n, 3, 3))],
                  _priors(rng, [quat], with_prior))
+    _assert_same(normalize_quaternions, _normalize_oracle, [quat], (), [_signed_weights(rng, (n, 4))],
+                 _priors(rng, [quat], with_prior))
     rows = rng.integers(0, n, size=rng.integers(1, 2 * n + 1))
     arrays = _appearance_inputs(rng, n, len(rows))
     weights = [_signed_weights(rng, (len(rows), 3)), _signed_weights(rng, len(rows))]
@@ -264,19 +290,33 @@ def test_degenerate_quaternion_raises_in_each_rotation_op():
     q[1, 0] = 0.99e-8
     with ad.Tape():
         with pytest.raises(DegenerateRotationError):
+            normalize_quaternions(ad.parameter(q))
+        with pytest.raises(DegenerateRotationError):
             rotation_matrices(ad.parameter(q))
         with pytest.raises(DegenerateRotationError):
             covariance(ad.parameter(q), ad.parameter(np.zeros((2, 3))))
+        q[1, 0] = 1.01e-8  # just above the floor: no error
+        normalize_quaternions(ad.parameter(q))
 
 
-@pytest.mark.parametrize("op", ["rotation_matrices", "covariance"])
+def test_nan_quaternion_names_normalize_quaternions():
+    q = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
+    q[1, 2] = np.nan
+    with ad.Tape():
+        with pytest.raises(ad.NonFiniteError, match="'normalize_quaternions'"):
+            normalize_quaternions(ad.parameter(q))
+
+
+@pytest.mark.parametrize("op", ["normalize_quaternions", "rotation_matrices", "covariance"])
 def test_overflowing_quaternion_norm_names_the_op(op):
     # |q|^2 overflows, so the rotation comes out finite (the identity); the
     # composition raised at the squared norm, and so does the fused op
     q = np.array([[1e200, 0.0, 0.0, 0.0]])
     with ad.Tape(), np.errstate(over="ignore"):
         with pytest.raises(ad.NonFiniteError, match=op):
-            if op == "rotation_matrices":
+            if op == "normalize_quaternions":
+                normalize_quaternions(ad.parameter(q))
+            elif op == "rotation_matrices":
                 rotation_matrices(ad.parameter(q))
             else:
                 covariance(ad.parameter(q), ad.parameter(np.zeros((1, 3))))
@@ -336,20 +376,25 @@ def _shear128_trainer():
 
 
 def test_shear128_main_tapes_hold_the_fused_chain(monkeypatch):
-    # the parent composition recorded 273 stage-1 and 542 stage-2 main-tape nodes
+    # the tape compositions recorded 273 stage-1 and 542 stage-2 main-tape
+    # nodes; one node per normalisation leaves 72 and 160
     tr = _shear128_trainer()
     counts = []
     backward = ad.Tape.backward
 
     def counting_backward(tape, out, seed=1.0):
-        counts.append((tr.stage(), len(tape.nodes)))
+        counts.append(len(tape.nodes))
         return backward(tape, out, seed)
 
     monkeypatch.setattr(ad.Tape, "backward", counting_backward)
-    tr.step()
+
+    def main_tape_nodes():
+        # a step sweeps its main tape first, then the CMR tapes on their own
+        start = len(counts)
+        tr.step()
+        return counts[start]
+
+    assert main_tape_nodes() <= 72
     while tr.stage() == 1:
         tr.step()
-    tr.step()
-    # the main tape is the largest; the CMR tapes are swept on their own
-    assert max(c for s, c in counts[:1]) < 100
-    assert max(c for s, c in counts if s == 2) < 200
+    assert main_tape_nodes() <= 160

@@ -2,17 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pidg.autodiff as ad
 from pidg.camera import camera_from_fov
+from pidg.optim import Adam
 from pidg.scene import (
+    PERCENT_DENSE,
+    SPLIT_FACTOR,
     DegenerateRotationError,
     GaussianCloud,
     SceneNormalizer,
+    _rotmats_np,
     covariance,
     densify_and_prune,
     normalize_quaternions,
     partition_dynamic,
+    prune_mask,
     rotation_matrices,
 )
 
@@ -113,7 +119,8 @@ def test_densify_clones_small_hot_particles():
     rng = np.random.default_rng(0)
     grads = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
     kept, appended = densify_and_prune(cloud, grads, rng, grad_threshold=0.5,
-                                       scene_extent=1.0, scale_threshold=0.15, min_opacity=0.005)
+                                       scene_extent=1.0, scale_threshold=0.15, min_opacity=0.005,
+                                       max_particles=100)
     assert np.array_equal(kept, np.arange(5))  # clones keep the parent row
     assert appended == 2
     assert len(cloud) == 7
@@ -128,7 +135,8 @@ def test_densify_splits_large_hot_particles():
     rng = np.random.default_rng(1)
     grads = np.array([1.0, 0.0, 0.0, 0.0])
     kept, appended = densify_and_prune(cloud, grads, rng, grad_threshold=0.5,
-                                       scene_extent=1.0, scale_threshold=10.0, min_opacity=0.005)
+                                       scene_extent=1.0, scale_threshold=10.0, min_opacity=0.005,
+                                       max_particles=100)
     # parent 0 retired, two children appended
     assert np.array_equal(kept, [1, 2, 3])
     assert appended == 2
@@ -144,10 +152,126 @@ def test_densify_prunes_faint_and_overgrown():
     cloud.opacity_logit.data[4] = -20.0            # effectively transparent
     rng = np.random.default_rng(2)
     kept, appended = densify_and_prune(cloud, np.zeros(6), rng, grad_threshold=1.0,
-                                       scene_extent=1.0, scale_threshold=0.15, min_opacity=0.005)
+                                       scene_extent=1.0, scale_threshold=0.15, min_opacity=0.005,
+                                       max_particles=100)
     assert np.array_equal(kept, [0, 1, 3, 5])
     assert appended == 0
     assert len(cloud) == 4
+
+
+def _densify_oracle(cloud, opt, grad_norms, rng, grad_threshold, scene_extent, scale_threshold, min_opacity,
+                    max_particles):
+    """The cloud edit as two passes, each with its own remap of the Adam
+    state: the densify's per-key chunk lists (kept rows, clones, split
+    children), then the faintest-row trim to the budget."""
+    if len(cloud.ids) >= max_particles:
+        grad_threshold = np.inf  # over budget: prune only
+    hot = grad_norms >= grad_threshold
+    split = hot & (cloud.world_scales().max(axis=1) > PERCENT_DENSE * scene_extent)
+    clone = hot & ~split
+    arrays = {k: v.data for k, v in cloud.params.items()}
+    remove = prune_mask(cloud, scale_threshold, scene_extent, min_opacity)
+    kept = np.nonzero(~(remove | split))[0]
+    clone_src = np.nonzero(clone & ~remove)[0]
+    split_src = np.nonzero(split & ~remove)[0]
+    chunks = {k: [arrays[k][kept]] for k in arrays}
+    ids, dyn = [cloud.ids[kept]], [cloud.dynamic[kept]]
+    if len(clone_src):
+        for k in arrays:
+            chunks[k].append(arrays[k][clone_src].copy())
+        ids.append(cloud.ids[clone_src])
+        dyn.append(cloud.dynamic[clone_src])
+    if len(split_src):
+        reps = np.repeat(split_src, 2)
+        log_scale = arrays["log_scale"][reps]
+        eps = rng.normal(size=(len(reps), 3)) * np.exp(log_scale)
+        quat = arrays["quat"][reps]
+        rot = _rotmats_np(quat / np.linalg.norm(quat, axis=1, keepdims=True))
+        for k in arrays:
+            if k == "mu":
+                chunks[k].append(arrays["mu"][reps] + np.einsum("nij,nj->ni", rot, eps))
+            elif k == "log_scale":
+                chunks[k].append(log_scale - np.log(SPLIT_FACTOR))
+            else:
+                chunks[k].append(arrays[k][reps].copy())
+        ids.append(cloud.ids[reps])
+        dyn.append(cloud.dynamic[reps])
+    cloud.replace_rows({k: np.concatenate(v) for k, v in chunks.items()}, np.concatenate(ids), np.concatenate(dyn))
+    for name in cloud.params:
+        opt.remap_rows(name, kept, len(cloud.ids) - len(kept))
+    if len(cloud.ids) > max_particles:
+        keep = np.sort(np.argsort(cloud.opacities())[::-1][:max_particles])
+        cloud.replace_rows({k: v.data[keep] for k, v in cloud.params.items()}, cloud.ids[keep],
+                           cloud.dynamic[keep])
+        for name in cloud.params:
+            opt.remap_rows(name, keep, 0)
+
+
+def _edit_case(seed, n):
+    """A cloud of ``n`` particles that clones, splits and prunes, with
+    non-unit quaternions, shared opacities (so the trim meets ties), mixed
+    dynamic flags and nonzero Adam moments."""
+    rng = np.random.default_rng(seed)
+    cloud = GaussianCloud.random_init(rng, n, (0.0, 0.0, 0.0), 1.0, 0.05, opacity=0.5)
+    cloud.quat.data[:] = rng.normal(size=(n, 4))
+    # clone, split or overgrown rows, by their largest scale
+    sizes = rng.choice([0.004, 0.05, 0.5], p=[0.45, 0.45, 0.1], size=(n, 1)) * rng.uniform(0.5, 1.0, (n, 3))
+    cloud.log_scale.data[:] = np.log(sizes)
+    cloud.opacity_logit.data[:] = rng.choice([-20.0, -1.0, 0.0, 0.0, 2.0], size=n) + rng.choice([0.0, 0.5], size=n)
+    cloud.dynamic = rng.uniform(size=n) < 0.6
+    opt = Adam()
+    for name, p in cloud.params.items():
+        opt.register(name, p)
+        opt.slots[name]["m"] = rng.normal(size=p.data.shape)
+        opt.slots[name]["v"] = rng.uniform(size=p.data.shape)
+    grads = rng.choice([0.0, 0.2, 1.0, 3.0], size=n)
+    return cloud, opt, grads
+
+
+def _edit_bytes(cloud, opt, rng):
+    out = [v.data.tobytes() for v in cloud.params.values()] + [cloud.ids.tobytes(), cloud.dynamic.tobytes()]
+    out += [opt.slots[name][key].tobytes() for name in cloud.params for key in ("m", "v")]
+    return out + [str(rng.bit_generator.state)]
+
+
+def _assert_one_edit_matches_two_passes(seed, n, budget):
+    args = dict(grad_threshold=0.5, scene_extent=1.0, scale_threshold=0.15, min_opacity=0.005, max_particles=budget)
+    cloud, opt, grads = _edit_case(seed, n)
+    rng = np.random.default_rng(seed + 1)
+    kept, appended = densify_and_prune(cloud, grads, rng, **args)
+    for name in cloud.params:
+        opt.remap_rows(name, kept, appended)
+    o_cloud, o_opt, _ = _edit_case(seed, n)
+    o_rng = np.random.default_rng(seed + 1)
+    _densify_oracle(o_cloud, o_opt, grads, o_rng, **args)
+    assert _edit_bytes(cloud, opt, rng) == _edit_bytes(o_cloud, o_opt, o_rng)
+    assert len(cloud) <= budget
+    return kept, appended, cloud
+
+
+@pytest.mark.parametrize("seed, n, budget, case", [
+    (0, 12, 100, "grow"),  # clones, splits and prunes inside the budget
+    (1, 12, 14, "trim"),  # grows past the budget, trimmed to it
+    (2, 12, 12, "prune only"),  # at the budget: no child rows
+    (3, 12, 5, "prune only"),  # over the budget: prunes, then trims
+])
+def test_one_cloud_edit_matches_densify_then_trim(seed, n, budget, case):
+    kept, appended, cloud = _assert_one_edit_matches_two_passes(seed, n, budget)
+    children = np.unique(cloud.ids[len(kept):], return_counts=True)[1]
+    if case == "grow":
+        splits = np.count_nonzero(children == 2)
+        assert np.count_nonzero(children == 1) > 0 and splits > 0
+        assert len(kept) + splits < n  # some rows were pruned
+    elif case == "trim":
+        assert appended > 0 and len(cloud) == budget
+    else:
+        assert appended == 0 and len(cloud) <= budget <= n
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 30), budget=st.integers(1, 60))
+def test_one_cloud_edit_matches_densify_then_trim_hypothesis(seed, n, budget):
+    _assert_one_edit_matches_two_passes(seed, n, budget)
 
 
 # ---------------------------------------------------------------- normalizer

@@ -9,8 +9,10 @@ from pidg import io as pio
 from pidg.config import RunConfig
 from pidg.deform import DeformConfig
 from pidg.material import MaterialConfig
+from pidg.optim import Adam
 from pidg.flow import frame_pair_flows, lpfm_loss
 from pidg.render import RenderSettings, project, render
+from pidg.scene import GaussianCloud
 from pidg.synth import SceneSpec, generate, scene_data
 from pidg.train import METRICS_HEADER, Trainer, TrainingAborted, initial_scales, load_model, model_params
 
@@ -331,6 +333,7 @@ def test_aborts_with_term_name_on_poisoned_parameters():
         tr.step()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the abort comes before any arithmetic
 def test_abort_reports_iteration():
     data = tiny_data()
     tr = Trainer(tiny_config(), data)
@@ -340,6 +343,7 @@ def test_abort_reports_iteration():
         tr.step()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the abort comes before any arithmetic
 def test_aborted_run_writes_the_metrics_logged_so_far(tmp_path):
     data = tiny_data()
     tr = Trainer(tiny_config(iterations=4, log_interval=1), data)
@@ -522,6 +526,23 @@ def test_densify_interval_grows_or_prunes_cloud():
     assert len(tr.cloud.ids) != n0
     assert len(tr.cloud.ids) <= cfg.max_particles
     assert len(tr.opt.slots["cloud.mu"]["m"]) == len(tr.cloud.ids)
+
+
+def test_densify_past_the_budget_is_one_edit(monkeypatch):
+    # the clones and splits overshoot the budget; the trim to it rides in
+    # the same edit, so each cloud parameter's Adam state is remapped once
+    cfg = tiny_config(iterations=6, stage_switch=1.0, densify_interval=2, densify_grad_threshold=0.0,
+                      max_particles=25)
+    tr = Trainer(cfg, tiny_data())
+    remapped = []
+    remap = Adam.remap_rows
+    monkeypatch.setattr(Adam, "remap_rows", lambda opt, name, *a: (remapped.append(name), remap(opt, name, *a)))
+    tr.step()
+    tr.step()
+    assert len(tr.cloud.ids) == cfg.max_particles
+    assert sorted(remapped) == sorted(f"cloud.{name}" for name in GaussianCloud.PARAMS)
+    for name in GaussianCloud.PARAMS:
+        assert len(tr.opt.slots[f"cloud.{name}"]["m"]) == cfg.max_particles
 
 
 def _initial_scales_oracle(mu, scene_scale):
